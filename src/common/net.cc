@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -31,6 +32,20 @@ int RemainingMs(int timeout_ms, Clock::time_point deadline) {
   const auto remaining =
       std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now());
   return remaining.count() > 0 ? static_cast<int>(remaining.count()) : 0;
+}
+
+// Turns Nagle off on a freshly connected socket, or closes it and reports why.  The
+// line protocols here are request/reply: a peer blocks on every line, so holding a
+// small write back until the previous segment is ACKed stalls each exchange for the
+// peer's delayed-ACK timer (~40 ms on Linux).
+serde::Status SetNoDelayOrClose(int fd, const std::string& context) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    const serde::Status s = ErrnoError(context + ": setsockopt(TCP_NODELAY)");
+    ::close(fd);
+    return s;
+  }
+  return serde::Ok();
 }
 
 }  // namespace
@@ -218,6 +233,10 @@ serde::Status AcceptWithTimeout(int listen_fd, int timeout_ms, int* conn_fd) {
       }
       return ErrnoError("accept");
     }
+    const serde::Status s = SetNoDelayOrClose(fd, "accept");
+    if (!s) {
+      return s;
+    }
     *conn_fd = fd;
     return serde::Ok();
   }
@@ -242,6 +261,10 @@ serde::Status ConnectTcp(const std::string& host, int port, int* conn_fd) {
     }
     const serde::Status s = ErrnoError("connect " + host + ":" + std::to_string(port));
     ::close(fd);
+    return s;
+  }
+  const serde::Status s = SetNoDelayOrClose(fd, "connect");
+  if (!s) {
     return s;
   }
   *conn_fd = fd;

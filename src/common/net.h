@@ -20,6 +20,14 @@
 // The TCP helpers bind 127.0.0.1 only: the wire protocol is unauthenticated, so
 // the socket transport is strictly a localhost/e2e affair (reach real remote
 // machines through the ssh command template instead).
+//
+// == Latency contract ==
+//
+// Every TCP LineChannel carries request/reply lines a peer is blocked on (an alertd
+// tenant waiting for its decision, a worker waiting for its lease), so writes go out
+// immediately: AcceptWithTimeout and ConnectTcp set TCP_NODELAY on every socket they
+// hand back, and fail (closing the fd) if they cannot.  With Nagle on, a reply
+// written as a second small segment waits for the peer's delayed ACK, ~40 ms a round.
 #ifndef SRC_COMMON_NET_H_
 #define SRC_COMMON_NET_H_
 
@@ -82,9 +90,11 @@ class LineChannel {
 serde::Status ListenLocalhost(int* listen_fd, int* out_port);
 
 // Accepts one connection, waiting up to timeout_ms (deadline-correct, as above).
+// The returned socket has TCP_NODELAY set (see the latency contract).
 serde::Status AcceptWithTimeout(int listen_fd, int timeout_ms, int* conn_fd);
 
-// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1").
+// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1").  The returned socket
+// has TCP_NODELAY set (see the latency contract).
 serde::Status ConnectTcp(const std::string& host, int port, int* conn_fd);
 
 // Splits "HOST:PORT"; errors on a missing colon or a non-numeric/out-of-range port.

@@ -59,7 +59,12 @@ serde::Status Child::Spawn(const std::vector<std::string>& argv,
     return ErrnoError("fork");
   }
   if (pid == 0) {
-    // Child: wire the pipes to stdin/stdout, leave stderr shared for diagnostics.
+    // Child: lead a process group of its own, so Kill reaches everything the command
+    // forks (a `/bin/sh -c` pipeline, an ssh client) and not just this pid.  The
+    // parent makes the same call, so whichever runs first wins and a Kill issued
+    // right after Spawn returns cannot race it.
+    ::setpgid(0, 0);
+    // Wire the pipes to stdin/stdout, leave stderr shared for diagnostics.
     ::dup2(to_child[0], STDIN_FILENO);
     ::dup2(from_child[1], STDOUT_FILENO);
     ::close(to_child[0]);
@@ -71,6 +76,8 @@ serde::Status Child::Spawn(const std::vector<std::string>& argv,
     ::_exit(127);
   }
 
+  // Fails harmlessly (EACCES) once the child has exec'd: it then already did it.
+  ::setpgid(pid, pid);
   ::close(to_child[0]);
   ::close(from_child[1]);
   out->reset(new Child(pid, to_child[1], from_child[0]));
@@ -114,7 +121,7 @@ ReadStatus Child::ReadLine(int timeout_ms, std::string* out) {
 
 void Child::Kill() {
   if (!reaped_ && pid_ > 0) {
-    ::kill(pid_, SIGKILL);
+    ::killpg(pid_, SIGKILL);  // the whole group: see Spawn
   }
 }
 

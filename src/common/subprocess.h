@@ -25,10 +25,12 @@
 // line machinery is net::LineChannel (src/common/net.h), shared with the socket
 // transport, where that deadline contract is documented and regression-tested.
 //
-// Lifecycle: the destructor closes the pipes, kills (SIGKILL) a still-running child,
-// and reaps it — a Child can never leak a zombie.  `Kill` + `Wait` do the same
-// explicitly when the caller wants the exit status.  None of the methods are
-// thread-safe; a Child belongs to one thread (the dispatcher event loop).
+// Lifecycle: each child leads its own process group, and killing it SIGKILLs the
+// whole group — so a forked grandchild (the shell's `sleep`, an ssh client) dies
+// with it instead of holding the pipes open.  The destructor closes the pipes, kills
+// a still-running child, and reaps it — a Child can never leak a zombie.  `Kill` +
+// `Wait` do the same explicitly when the caller wants the exit status.  None of the
+// methods are thread-safe; a Child belongs to one thread (the dispatcher event loop).
 #ifndef SRC_COMMON_SUBPROCESS_H_
 #define SRC_COMMON_SUBPROCESS_H_
 
@@ -70,7 +72,8 @@ class Child {
   // Next complete line from the child's stdout.  timeout_ms < 0 blocks, 0 polls.
   ReadStatus ReadLine(int timeout_ms, std::string* out);
 
-  // SIGKILLs the child if it is still running (idempotent; does not reap).
+  // SIGKILLs the child's process group if the child is not yet reaped
+  // (idempotent; does not reap).
   void Kill();
 
   // Reaps the child (blocking) and returns its raw waitpid status; -1 if already

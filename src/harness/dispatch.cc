@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <tuple>
@@ -99,13 +100,24 @@ class LineQueue {
 };
 
 // The worker thread's view of its channel.
+// `before_first_grant`, if set, runs once, just before the first lease-grant line
+// is handed to the worker (the transport's first-lease barrier).
 class QueueWorkerLink final : public WorkerLink {
  public:
-  QueueWorkerLink(LineQueue& incoming, LineQueue& outgoing)
-      : incoming_(incoming), outgoing_(outgoing) {}
+  QueueWorkerLink(LineQueue& incoming, LineQueue& outgoing,
+                  std::function<void()> before_first_grant)
+      : incoming_(incoming),
+        outgoing_(outgoing),
+        before_first_grant_(std::move(before_first_grant)) {}
 
   bool ReadLine(std::string* line) override {
-    return incoming_.Pop(-1, line) == ChannelRead::kLine;
+    if (incoming_.Pop(-1, line) != ChannelRead::kLine) {
+      return false;
+    }
+    if (before_first_grant_ && line->starts_with("lease-grant")) {
+      std::exchange(before_first_grant_, nullptr)();
+    }
+    return true;
   }
   bool TryReadLine(std::string* line) override {
     return incoming_.Pop(0, line) == ChannelRead::kLine;
@@ -118,13 +130,15 @@ class QueueWorkerLink final : public WorkerLink {
  private:
   LineQueue& incoming_;
   LineQueue& outgoing_;
+  std::function<void()> before_first_grant_;
 };
 
 class InProcessChannel final : public WorkerChannel {
  public:
-  explicit InProcessChannel(const DispatchWorkerOptions& options) {
-    thread_ = std::thread([this, options] {
-      QueueWorkerLink link(to_worker_, from_worker_);
+  InProcessChannel(const DispatchWorkerOptions& options,
+                   std::function<void()> before_first_grant) {
+    thread_ = std::thread([this, options, hook = std::move(before_first_grant)] {
+      QueueWorkerLink link(to_worker_, from_worker_, hook);
       RunDispatchWorker(link, options);
       from_worker_.Close();  // flushes nothing; queued lines stay readable
     });
@@ -256,8 +270,20 @@ serde::Status InProcessTransport::Launch(int worker_index,
     worker.delay_per_result_ms = it->second;
   }
   worker.duplicate_results = options_.duplicate_results.count(worker_index) > 0;
-  *out = std::make_unique<InProcessChannel>(worker);
+  std::function<void()> before_first_grant;
+  if (worker_index < options_.first_lease_barrier) {
+    before_first_grant = [this] { AwaitFirstLeaseBarrier(); };
+  }
+  *out = std::make_unique<InProcessChannel>(worker, std::move(before_first_grant));
   return serde::Ok();
+}
+
+void InProcessTransport::AwaitFirstLeaseBarrier() {
+  std::unique_lock<std::mutex> lock(barrier_mutex_);
+  ++barrier_arrivals_;
+  barrier_cv_.notify_all();
+  barrier_cv_.wait(lock,
+                   [this] { return barrier_arrivals_ >= options_.first_lease_barrier; });
 }
 
 SubprocessTransport::SubprocessTransport(

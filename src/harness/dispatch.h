@@ -48,7 +48,8 @@
 //   InProcessTransport  — worker loop on a std::thread with in-memory queues; zero
 //                         process overhead, plus deterministic failure injection for
 //                         tests (die / go quiet after N results, duplicate delivery,
-//                         per-result delay to fake a slow machine);
+//                         per-result delay to fake a slow machine, a first-lease
+//                         barrier that pins which workers get work);
 //   SubprocessTransport — one local child process per worker (sweep_shard --worker),
 //                         stdin/stdout pipes (src/common/subprocess.h);
 //   CommandTransport    — like SubprocessTransport but the command line is an
@@ -68,10 +69,12 @@
 #ifndef SRC_HARNESS_DISPATCH_H_
 #define SRC_HARNESS_DISPATCH_H_
 
+#include <condition_variable>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <span>
 #include <string>
@@ -182,13 +185,24 @@ class InProcessTransport : public Transport {
     std::map<int, int> hang_after;      // launch index -> go quiet after N results
     std::set<int> duplicate_results;    // launch indices that double-send every result
     std::map<int, int> delay_per_result;  // launch index -> ms of sleep per unit
+    // Launch indices [0, N) each hold their first lease-grant line until all N have
+    // received one: no gated worker can finish a unit, and so pull more work,
+    // before every gated worker holds a lease.  That makes "every worker gets a
+    // lease" a property of the schedule rather than of thread timing.  Each gated
+    // launch must be granted a lease, or its worker waits forever.
+    int first_lease_barrier = 0;
   };
   InProcessTransport();  // default options
   explicit InProcessTransport(Options options);
   serde::Status Launch(int worker_index, std::unique_ptr<WorkerChannel>* out) override;
 
  private:
+  void AwaitFirstLeaseBarrier();
+
   Options options_;
+  std::mutex barrier_mutex_;
+  std::condition_variable barrier_cv_;
+  int barrier_arrivals_ = 0;
 };
 
 // Workers as local child processes; `argv_for_worker` builds each launch's argument

@@ -8,6 +8,9 @@
 #include "src/common/net.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
@@ -23,6 +26,15 @@ double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                    start)
       .count();
+}
+
+int NoDelayOf(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) {
+    return -1;
+  }
+  return value;
 }
 
 TEST(ParseHostPortTest, SplitsAndValidates) {
@@ -200,6 +212,24 @@ TEST(TcpTest, ListenConnectAcceptRoundTripsBothDirections) {
   // Half-close: the server sees EOF but its write side still works until closed.
   client.CloseWrite();
   EXPECT_EQ(server.ReadLine(5000, &line), ReadStatus::kClosed);
+}
+
+TEST(TcpTest, BothEndsOfAConnectionHaveNagleOff) {
+  // Latency contract: a reply written as a second small segment must not wait for
+  // the peer's delayed ACK, so both the accepted and the connecting end carry
+  // TCP_NODELAY.  Checked through getsockopt: no timing involved.
+  int listen_fd = -1;
+  int port = 0;
+  ASSERT_TRUE(ListenLocalhost(&listen_fd, &port).ok);
+  int client_fd = -1;
+  ASSERT_TRUE(ConnectTcp("127.0.0.1", port, &client_fd).ok);
+  int server_fd = -1;
+  ASSERT_TRUE(AcceptWithTimeout(listen_fd, 5000, &server_fd).ok);
+  close(listen_fd);
+  EXPECT_EQ(NoDelayOf(server_fd), 1) << "accepted socket still runs Nagle";
+  EXPECT_EQ(NoDelayOf(client_fd), 1) << "connected socket still runs Nagle";
+  close(server_fd);
+  close(client_fd);
 }
 
 TEST(TcpTest, AcceptTimesOutWhenNobodyConnects) {

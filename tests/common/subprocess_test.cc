@@ -103,6 +103,23 @@ TEST(SubprocessTest, KillTerminatesAndWriteAfterDeathIsAStatusError) {
   EXPECT_FALSE(s.ok);
 }
 
+TEST(SubprocessTest, KillTakesDownForkedGrandchildrenToo) {
+  // `; :` keeps the shell alive after the subshell, so the shell forks rather than
+  // execs, and the subshell becomes a `sleep` grandchild holding the stdout pipe.
+  // Reading its line first proves the grandchild exists before Kill, so the test
+  // cannot pass by killing the shell before it forks.  Killing only the shell
+  // would leave that pipe open for 600 s; killing the group closes it at once.
+  std::unique_ptr<Child> child;
+  ASSERT_TRUE(Child::SpawnShell("(echo forked; exec sleep 600); :", &child).ok);
+  std::string line;
+  ASSERT_EQ(child->ReadLine(5000, &line), ReadStatus::kLine);
+  EXPECT_EQ(line, "forked");
+  child->Kill();
+  child->Wait();
+  EXPECT_EQ(child->ReadLine(5000, &line), ReadStatus::kClosed)
+      << "a grandchild outlived Kill and still holds the pipe";
+}
+
 TEST(SubprocessTest, EmptyCommandsAreStatusErrors) {
   std::unique_ptr<Child> child;
   EXPECT_FALSE(Child::SpawnArgv({}, &child).ok);

@@ -194,7 +194,12 @@ TEST_F(DispatchTest, InProcessDispatchMatchesMonolithicForAnyWorkerCount) {
     for (const LeaseMode mode : {LeaseMode::kPull, LeaseMode::kStatic}) {
       for (const ShardStrategy strategy :
            {ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted}) {
-        InProcessTransport transport;
+        // Without the barrier, fast workers can drain the 18-unit plan before a slow
+        // starter sends its first lease-request, and the lease count below would
+        // measure thread timing instead of the pool.
+        InProcessTransport::Options in_options;
+        in_options.first_lease_barrier = workers;
+        InProcessTransport transport(in_options);
         DispatchOptions options;
         options.num_workers = workers;
         options.lease_mode = mode;
@@ -487,8 +492,11 @@ TEST_F(DispatchTest, IdleWorkerStealsFromAnOverloadedPeer) {
   // its makespan back — is revoking the overloaded lease and re-granting its
   // unfinished remainder.  The straggler deadline is set high so it cannot be the
   // mechanism; any re-plan here is a steal.
+  // The barrier pins the opening: worker 1 cannot finish a unit, and so cannot drain
+  // the plan, until worker 0 holds its warm-up lease.
   InProcessTransport::Options in_options;
   in_options.delay_per_result = {{0, 300}};
+  in_options.first_lease_barrier = 2;
   InProcessTransport transport(in_options);
   DispatchOptions options;
   options.num_workers = 2;
