@@ -20,38 +20,73 @@ MultiJobCoordinator::MultiJobCoordinator(std::vector<JobSpec> jobs,
                                          Watts total_power_budget,
                                          AllocationPolicy policy)
     : total_power_budget_(total_power_budget), policy_(policy) {
-  ALERT_CHECK(!jobs.empty());
   ALERT_CHECK(total_power_budget > 0.0);
   for (JobSpec& spec : jobs) {
-    ALERT_CHECK(spec.space != nullptr);
-    // Jobs over the same candidate family share one scoring engine: the engine is
-    // immutable after construction, so a whole family can be scored as one batch and
-    // scanned concurrently.  Families are kept in first-appearance order so iteration
-    // is deterministic across runs and platforms (a pointer-keyed map was not).
-    int family = -1;
-    for (size_t f = 0; f < families_.size(); ++f) {
-      if (families_[f].space == spec.space) {
-        family = static_cast<int>(f);
-        break;
+    AddJob(std::move(spec));
+  }
+}
+
+void MultiJobCoordinator::AddJob(JobSpec spec) {
+  ALERT_CHECK(spec.space != nullptr);
+  // Jobs over the same candidate family share one scoring engine: the engine is
+  // immutable after construction, so a whole family can be scored as one batch and
+  // scanned concurrently.  Families are kept in first-appearance order so iteration
+  // is deterministic across runs and platforms (a pointer-keyed map was not).
+  int family = -1;
+  for (size_t f = 0; f < families_.size(); ++f) {
+    if (families_[f].space == spec.space) {
+      family = static_cast<int>(f);
+      break;
+    }
+  }
+  if (family < 0) {
+    family = static_cast<int>(families_.size());
+    Family fam;
+    fam.space = spec.space;
+    fam.engine = std::make_shared<DecisionEngine>(*spec.space);
+    if (cache_policy_.enabled()) {
+      fam.cache = std::make_unique<DecisionCache>(*fam.engine, cache_policy_);
+    }
+    families_.push_back(std::move(fam));
+  }
+
+  Job job;
+  job.name = std::move(spec.name);
+  job.space = spec.space;
+  job.scheduler = std::make_unique<AlertScheduler>(*families_[family].engine,
+                                                   spec.goals, spec.options);
+  job.family = family;
+  job.slot = static_cast<int>(families_[family].jobs.size());
+  families_[family].jobs.push_back(static_cast<int>(jobs_.size()));
+  jobs_.push_back(std::move(job));
+  InvalidateCaches();
+}
+
+void MultiJobCoordinator::RemoveJob(int index) {
+  ALERT_CHECK(index >= 0 && index < num_jobs());
+  const Job& removed = jobs_[static_cast<size_t>(index)];
+  std::vector<int>& members = families_[static_cast<size_t>(removed.family)].jobs;
+  members.erase(members.begin() + removed.slot);
+  for (size_t s = static_cast<size_t>(removed.slot); s < members.size(); ++s) {
+    jobs_[static_cast<size_t>(members[s])].slot = static_cast<int>(s);
+  }
+  jobs_.erase(jobs_.begin() + index);
+  // Every later job moved down one index; member lists stay ascending.
+  for (Family& family : families_) {
+    for (int& j : family.jobs) {
+      if (j > index) {
+        --j;
       }
     }
-    if (family < 0) {
-      family = static_cast<int>(families_.size());
-      Family fam;
-      fam.space = spec.space;
-      fam.engine = std::make_shared<DecisionEngine>(*spec.space);
-      families_.push_back(std::move(fam));
-    }
+  }
+  InvalidateCaches();
+}
 
-    Job job;
-    job.name = std::move(spec.name);
-    job.space = spec.space;
-    job.scheduler = std::make_unique<AlertScheduler>(*families_[family].engine,
-                                                     spec.goals, spec.options);
-    job.family = family;
-    job.slot = static_cast<int>(families_[family].jobs.size());
-    families_[family].jobs.push_back(static_cast<int>(jobs_.size()));
-    jobs_.push_back(std::move(job));
+void MultiJobCoordinator::InvalidateCaches() {
+  for (Family& family : families_) {
+    if (family.cache != nullptr) {
+      family.cache->Invalidate();
+    }
   }
 }
 

@@ -53,12 +53,27 @@ enum class AllocationPolicy : int {
 
 class MultiJobCoordinator {
  public:
+  // Equivalent to AddJob over `jobs` in order; `jobs` may be empty.
   MultiJobCoordinator(std::vector<JobSpec> jobs, Watts total_power_budget,
                       AllocationPolicy policy = AllocationPolicy::kProportional);
 
+  // In-place membership (tenant arrivals and departures in the serving daemon).
+  // AddJob appends a job at index num_jobs(), sharing its family's engine or opening
+  // a new family.  RemoveJob erases job `index`; later jobs move down one index and
+  // keep their order.  No other scheduler is touched, so every surviving job keeps
+  // its learned belief as is.  A family left without jobs stays (scoring it is a
+  // no-op) and is reused if its space comes back.  Each call empties every family
+  // decision cache (the dropped entries count as stale; decision_cache_stats() stays
+  // cumulative), so from a membership change on the coordinator decides and caches
+  // exactly like one freshly constructed over the same jobs with their beliefs
+  // restored.
+  void AddJob(JobSpec spec);
+  void RemoveJob(int index);
+
   int num_jobs() const { return static_cast<int>(jobs_.size()); }
-  // Distinct candidate families, in first-appearance job order (deterministic across
-  // runs and platforms; jobs over the same ConfigSpace share one scoring engine).
+  // Distinct candidate families seen so far, including any whose jobs have all left,
+  // in first-appearance job order (deterministic across runs and platforms; jobs
+  // over the same ConfigSpace share one scoring engine).
   int num_families() const { return static_cast<int>(families_.size()); }
   Watts total_power_budget() const { return total_power_budget_; }
   // Online budget reconfiguration (a shared package limit raised or lowered while
@@ -140,6 +155,8 @@ class MultiJobCoordinator {
     int slot = 0;    // index into families_[family].jobs
   };
 
+  // Empties every family cache: a membership change starts a fresh cache generation.
+  void InvalidateCaches();
   // One batched ScoreBatch pass for family `f` over the current snapshots.
   void ScoreFamily(int f);
   // One job's slice of its family's score table (valid after the round's ScoreBatch).
@@ -150,7 +167,7 @@ class MultiJobCoordinator {
   // job's family first) SelectJob plus an insert.  Caching must be enabled.
   DecisionEngine::Selection SelectJobCached(int job_index, Watts limit);
 
-  std::vector<Family> families_;  // first-appearance order
+  std::vector<Family> families_;  // first-appearance order, never removed
   std::vector<Job> jobs_;
   Watts total_power_budget_;
   AllocationPolicy policy_;

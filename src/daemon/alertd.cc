@@ -131,6 +131,11 @@ serde::Status ParseBeliefFields(serde::RecordReader* reader, const ConfigSpace& 
   if (b.kalman.variance < 0.0 || b.idle.variance < 0.0) {
     return serde::Error("negative variance");
   }
+  // Validated ticks only ever feed non-negative observations and energies, so an
+  // honest export never carries these negative.
+  if (b.kalman.mean < 0.0 || b.idle.ratio < 0.0 || b.energy_spent < 0.0) {
+    return serde::Error("negative belief");
+  }
   if (b.kalman.num_updates < 0 || b.idle.num_updates < 0 || b.xi_censored < 0 ||
       b.inputs_observed < 0) {
     return serde::Error("negative counter");
@@ -400,10 +405,10 @@ std::string FormatStatsLine(const AlertdStats& stats, size_t ring_capacity) {
 // --- AlertdCore -------------------------------------------------------------------
 
 AlertdCore::AlertdCore(const AlertdOptions& options)
-    : options_(options),
-      stacks_(options.platform, options.stack_seed),
-      log_(options.event_ring_capacity, options.event_log_path) {
-  ALERT_CHECK(options_.total_power_budget > 0.0);
+    : stacks_(options.platform, options.stack_seed),
+      log_(options.event_ring_capacity, options.event_log_path),
+      coordinator_({}, options.total_power_budget, options.policy) {
+  coordinator_.set_decision_cache_policy(options.cache_policy);
 }
 
 AlertdCore::~AlertdCore() { Shutdown(); }
@@ -455,7 +460,7 @@ std::string AlertdCore::Error(std::string_view verb, std::string_view reason,
 
 int AlertdCore::FindTenant(std::string_view name) const {
   for (size_t i = 0; i < tenants_.size(); ++i) {
-    if (tenants_[i].config.name == name) {
+    if (tenants_[i].name == name) {
       return static_cast<int>(i);
     }
   }
@@ -503,33 +508,30 @@ std::string AlertdCore::HandleHello(int session, serde::RecordReader& reader) {
   const Stack& stack =
       stacks_.Get(static_cast<TaskId>(task), static_cast<DnnSetChoice>(dnn_set));
   if (!AdmissionAllows(AdmittedFloorSum(), MinPowerFloor(stack.space()),
-                       options_.total_power_budget)) {
+                       coordinator_.total_power_budget())) {
     ++counters_.rejected;
     log_.Push(Event{.type = Event::Type::kReject, .round = round_, .tenant = -1});
     return FormatErrorLine("tenant-hello", "admission");
   }
 
   Tenant tenant;
-  tenant.config.name = name;
-  tenant.config.task = static_cast<TaskId>(task);
-  tenant.config.dnn_set = static_cast<DnnSetChoice>(dnn_set);
-  tenant.config.goals = goals;
+  tenant.name = name;
   tenant.stack = &stack;
   tenant.session = session;
   tenant.id = next_tenant_id_++;
 
-  // Transplant every existing tenant's belief across the rebuild; the newcomer
-  // starts from the default prior.
-  std::vector<std::optional<BeliefState>> beliefs;
-  beliefs.reserve(tenants_.size() + 1);
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    beliefs.push_back(coordinator_->job(static_cast<int>(i)).ExportBelief());
-  }
-  beliefs.push_back(std::nullopt);
+  // The newcomer starts from the default prior; no other tenant is touched.
+  // Default AlertOptions: per-scheduler caching stays off — the coordinator's
+  // per-family caches are the only memoization layer.
+  JobSpec spec;
+  spec.name = name;
+  spec.space = &stack.space();
+  spec.goals = goals;
+  coordinator_.AddJob(std::move(spec));
   tenants_.push_back(std::move(tenant));
-  RebuildCoordinator(beliefs);
 
   ++counters_.admitted;
+  ++counters_.rebuilds;
   log_.Push(Event{.type = Event::Type::kAdmit,
                   .round = round_,
                   .tenant = tenants_.back().id,
@@ -554,10 +556,9 @@ std::string AlertdCore::HandleGoalSet(serde::RecordReader& reader) {
   if (index < 0) {
     return Error("goal-set", "unknown-tenant");
   }
-  // No rebuild and no round dropped: SetJobGoals swaps the live scheduler's goals
-  // and surgically drops only the family-cache entries keyed under the old goals.
-  coordinator_->SetJobGoals(index, goals);
-  tenants_[static_cast<size_t>(index)].config.goals = goals;
+  // No round dropped: SetJobGoals swaps the live scheduler's goals and surgically
+  // drops only the family-cache entries keyed under the old goals.
+  coordinator_.SetJobGoals(index, goals);
   ++counters_.goal_sets;
   log_.Push(Event{.type = Event::Type::kGoalSet,
                   .round = round_,
@@ -580,10 +581,7 @@ std::string AlertdCore::HandleLimitSet(serde::RecordReader& reader) {
   // Takes effect on the next round; admission of FUTURE tenants also checks
   // against it.  Already-admitted tenants are never evicted by a budget drop —
   // the allocator scales their grants down instead.
-  options_.total_power_budget = budget;
-  if (coordinator_ != nullptr) {
-    coordinator_->set_total_power_budget(budget);
-  }
+  coordinator_.set_total_power_budget(budget);
   ++counters_.limit_sets;
   log_.Push(Event{
       .type = Event::Type::kLimitSet, .round = round_, .tenant = -1, .d0 = budget});
@@ -653,7 +651,8 @@ std::string AlertdCore::HandleTick(int session, serde::RecordReader& reader,
   }
   if (has_measurement &&
       (m.xi_anchor_fraction <= 0.0 || m.xi_anchor_time < 0.0 || m.latency < 0.0 ||
-       m.period < 0.0 || m.energy < 0.0)) {
+       m.period < 0.0 || m.energy < 0.0 || m.inference_power < 0.0 ||
+       m.idle_power < 0.0)) {
     return Error("round-tick", "bad-measurement");
   }
 
@@ -687,7 +686,7 @@ std::string AlertdCore::HandleBelieveSnapshot(int session,
     return Error("belief-snapshot", "not-owner");
   }
   BeliefRecord record;
-  record.belief = coordinator_->job(index).ExportBelief();
+  record.belief = coordinator_.job(index).ExportBelief();
   record.has_decision = tenant.has_decision;
   record.decision = tenant.last_decision;
   return FormatBeliefLine("belief", name, record);
@@ -716,7 +715,7 @@ std::string AlertdCore::HandleBeliefRestore(int session, serde::RecordReader& re
       !s) {
     return Error("belief-restore", "invalid-belief", s.message);
   }
-  coordinator_->job(index).RestoreBelief(record.belief);
+  coordinator_.job(index).RestoreBelief(record.belief);
   tenant.has_decision = record.has_decision;
   tenant.last_decision = record.decision;
   tenant.ticks = record.ticks();
@@ -766,68 +765,18 @@ void AlertdCore::OnSessionClosed(int session, std::vector<Outgoing>* out) {
 }
 
 void AlertdCore::RemoveTenants(const std::vector<int>& indices) {
-  // Export survivors' beliefs before the old coordinator (and its schedulers) die.
-  std::vector<std::optional<BeliefState>> beliefs;
-  std::vector<Tenant> survivors;
-  size_t cut = 0;
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    const bool removed = cut < indices.size() &&
-                         indices[cut] == static_cast<int>(i);
-    if (removed) {
-      ++cut;
-      ++counters_.departed;
-      log_.Push(Event{.type = Event::Type::kDepart,
-                      .round = round_,
-                      .tenant = tenants_[i].id,
-                      .i0 = tenants_[i].ticks});
-      continue;
-    }
-    beliefs.push_back(coordinator_->job(static_cast<int>(i)).ExportBelief());
-    survivors.push_back(std::move(tenants_[i]));
+  for (const int i : indices) {
+    const Tenant& t = tenants_[static_cast<size_t>(i)];
+    ++counters_.departed;
+    log_.Push(Event{
+        .type = Event::Type::kDepart, .round = round_, .tenant = t.id, .i0 = t.ticks});
   }
-  tenants_ = std::move(survivors);
-  RebuildCoordinator(beliefs);
-}
-
-void AlertdCore::RebuildCoordinator(
-    const std::vector<std::optional<BeliefState>>& beliefs) {
-  ALERT_CHECK(beliefs.size() == tenants_.size());
-  if (coordinator_ != nullptr) {
-    // Keep the cumulative cache picture across generations: the `stats` verb
-    // reports live + retired, so a rebuild never makes counters go backwards.
-    const DecisionCacheStats s = coordinator_->decision_cache_stats();
-    retired_cache_.hits += s.hits;
-    retired_cache_.misses += s.misses;
-    retired_cache_.insertions += s.insertions;
-    retired_cache_.evictions += s.evictions;
-    retired_cache_.stale += s.stale;
-    coordinator_.reset();
+  // Back to front, so the indices still to remove stay valid.
+  for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
+    coordinator_.RemoveJob(*it);
+    tenants_.erase(tenants_.begin() + *it);
   }
   ++counters_.rebuilds;
-  if (tenants_.empty()) {
-    return;
-  }
-  std::vector<JobSpec> specs;
-  specs.reserve(tenants_.size());
-  for (const Tenant& t : tenants_) {
-    JobSpec spec;
-    spec.name = t.config.name;
-    spec.space = &t.stack->space();
-    spec.goals = t.config.goals;
-    // Default AlertOptions: per-scheduler caching stays off — the coordinator's
-    // per-family caches (cache_policy below) are the only memoization layer.
-    specs.push_back(std::move(spec));
-  }
-  coordinator_ = std::make_unique<MultiJobCoordinator>(
-      std::move(specs), options_.total_power_budget, options_.policy);
-  if (options_.cache_policy.enabled()) {
-    coordinator_->set_decision_cache_policy(options_.cache_policy);
-  }
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    if (beliefs[i].has_value()) {
-      coordinator_->job(static_cast<int>(i)).RestoreBelief(*beliefs[i]);
-    }
-  }
 }
 
 void AlertdCore::MaybeFireRound(std::vector<Outgoing>* out) {
@@ -845,14 +794,14 @@ void AlertdCore::MaybeFireRound(std::vector<Outgoing>* out) {
   for (int i = 0; i < k; ++i) {
     Tenant& t = tenants_[static_cast<size_t>(i)];
     if (t.pending_has_measurement) {
-      coordinator_->job(i).Observe(t.last_decision, t.pending_measurement);
+      coordinator_.job(i).Observe(t.last_decision, t.pending_measurement);
     }
   }
   round_requests_.clear();
   for (int i = 0; i < k; ++i) {
     round_requests_.push_back(tenants_[static_cast<size_t>(i)].pending_request);
   }
-  coordinator_->DecideRoundInto(round_requests_, &round_decisions_);
+  coordinator_.DecideRoundInto(round_requests_, &round_decisions_);
 
   for (int i = 0; i < k; ++i) {
     Tenant& t = tenants_[static_cast<size_t>(i)];
@@ -860,7 +809,7 @@ void AlertdCore::MaybeFireRound(std::vector<Outgoing>* out) {
     t.has_decision = true;
     t.has_tick = false;
     t.pending_has_measurement = false;
-    out->push_back({t.session, FormatDecisionLine(t.config.name, round_, t.ticks,
+    out->push_back({t.session, FormatDecisionLine(t.name, round_, t.ticks,
                                                   t.last_decision)});
     ++t.ticks;
     ++counters_.decisions;
@@ -896,15 +845,7 @@ void AlertdCore::Shutdown() {
 
 AlertdStats AlertdCore::stats() const {
   AlertdStats s = counters_;
-  s.cache = retired_cache_;
-  if (coordinator_ != nullptr) {
-    const DecisionCacheStats live = coordinator_->decision_cache_stats();
-    s.cache.hits += live.hits;
-    s.cache.misses += live.misses;
-    s.cache.insertions += live.insertions;
-    s.cache.evictions += live.evictions;
-    s.cache.stale += live.stale;
-  }
+  s.cache = coordinator_.decision_cache_stats();
   s.ring_pushed = log_.pushed();
   s.ring_dropped = log_.dropped();
   s.ring_written = log_.written();

@@ -56,17 +56,18 @@
 // the daemon and the replayer:
 //   * profiles: StackCache builds stacks with profile_noise_sigma=0 from one fixed
 //     seed, so daemon-side and client-side ConfigSpaces are bit-identical;
-//   * membership: tenants enter the coordinator in admission order; arrivals and
-//     departures REBUILD the coordinator (it owns its schedulers) and transplant
-//     every surviving tenant's learned state via AlertScheduler::ExportBelief /
-//     RestoreBelief — exact struct copies, so decisions are unchanged;
-//   * goal/limit changes do NOT rebuild: they route through SetJobGoals (which
-//     drops only the affected family-cache entries) and set_total_power_budget;
+//   * membership: tenants enter the coordinator in admission order; an arrival is
+//     MultiJobCoordinator::AddJob and a departure RemoveJob, in place on the one
+//     coordinator the daemon owns, so no surviving tenant's scheduler — and no
+//     learned state — is touched;
+//   * goal/limit changes route through SetJobGoals (which drops only the affected
+//     family-cache entries) and set_total_power_budget;
 //   * belief persistence: the `belief` record serializes BeliefState through
 //     serde's %.17g exact-double round-trip, so a reconnecting tenant restores the
 //     same bits it exported;
 //   * caching: per-family DecisionCache sharing (exact mode) is decision-neutral
-//     by construction, and both sides rebuild caches cold at the same script points.
+//     by construction, and AddJob/RemoveJob empty every family cache, so both sides
+//     start a cold cache generation at the same script points.
 //
 // == Instrumentation ==
 //
@@ -82,7 +83,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -143,8 +143,9 @@ std::string FormatBeliefLine(std::string_view tag, std::string_view tenant,
 // Parses the belief fields of an already-opened reader (tag and tenant consumed).
 // Validates against `space`: the decision's candidate must be a member (scanned, not
 // CandidateIndex — wire input must not be able to abort) and the power index in
-// range; counters and variances must be non-negative.  power_cap is recomputed from
-// the space, never trusted from the wire.
+// range; counters, variances, the xi mean, the idle-power ratio and the energy spent
+// must be non-negative.  power_cap is recomputed from the space, never trusted from
+// the wire.
 serde::Status ParseBeliefFields(serde::RecordReader* reader, const ConfigSpace& space,
                                 BeliefRecord* out);
 
@@ -190,7 +191,7 @@ class StackCache {
   StackCache(PlatformId platform, uint64_t seed);
 
   // Builds on first use (profile_noise_sigma = 0); the reference lives as long as
-  // the cache.  Stacks survive coordinator rebuilds, so profiling happens once per
+  // the cache.  Stacks outlive every tenant, so profiling happens once per
   // (task, dnn_set) over the daemon's whole lifetime.
   const Stack& Get(TaskId task, DnnSetChoice dnn_set);
 
@@ -298,10 +299,10 @@ struct AlertdStats {
   uint64_t restores = 0;
   uint64_t goal_sets = 0;
   uint64_t limit_sets = 0;
-  uint64_t rebuilds = 0;
+  uint64_t rebuilds = 0;  // membership changes: one per admit, bye or eviction batch
   uint64_t parse_errors = 0;     // line did not parse as a record
   uint64_t protocol_errors = 0;  // parsed, but violated the session state machine
-  DecisionCacheStats cache;      // live coordinator caches + retired generations
+  DecisionCacheStats cache;      // cumulative over every cache generation
   uint64_t ring_pushed = 0;
   uint64_t ring_dropped = 0;
   uint64_t ring_written = 0;
@@ -326,7 +327,7 @@ class AlertdCore {
   void HandleLine(int session, std::string_view line, std::vector<Outgoing>* out);
 
   // The session vanished without tenant-bye: evict every tenant it owns (one
-  // rebuild), then fire the round if the departures completed the barrier.
+  // membership change), then fire the round if the departures completed the barrier.
   void OnSessionClosed(int session, std::vector<Outgoing>* out);
 
   // Graceful drain: emits the `alertd-shutdown clean=1` event and blocks until the
@@ -339,7 +340,7 @@ class AlertdCore {
 
  private:
   struct Tenant {
-    TenantConfig config;
+    std::string name;  // goals live in the coordinator's job
     const Stack* stack = nullptr;
     int session = 0;  // owning session
     int id = 0;       // admission id (monotonic across the daemon's lifetime)
@@ -366,24 +367,17 @@ class AlertdCore {
 
   int FindTenant(std::string_view name) const;  // -1 when absent
   Watts AdmittedFloorSum() const;
-  // Drops the current coordinator (retiring its cache stats) and rebuilds it over
-  // `tenants_` in admission order, transplanting the given per-tenant beliefs
-  // (nullopt = fresh tenant).  Fresh family caches on every rebuild — cold on both
-  // sides of the equivalence test by construction.
-  void RebuildCoordinator(const std::vector<std::optional<BeliefState>>& beliefs);
-  // Removes tenants_[indices] (ascending, already-validated), one rebuild total.
+  // Removes tenants_[indices] (ascending, already-validated): one membership change.
   void RemoveTenants(const std::vector<int>& indices);
   // Fires the round if every tenant has a pending tick; appends `decision` lines.
   void MaybeFireRound(std::vector<Outgoing>* out);
   std::string Error(std::string_view verb, std::string_view reason,
                     std::string_view detail = {});
 
-  AlertdOptions options_;
   StackCache stacks_;
   EventLog log_;
   std::vector<Tenant> tenants_;  // admission order == coordinator job order
-  std::unique_ptr<MultiJobCoordinator> coordinator_;  // null while no tenants
-  DecisionCacheStats retired_cache_;  // cache stats of rebuilt-away coordinators
+  MultiJobCoordinator coordinator_;  // job i serves tenants_[i]
   int round_ = 0;
   int next_tenant_id_ = 0;
   bool shut_down_ = false;

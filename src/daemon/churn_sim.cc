@@ -531,18 +531,14 @@ void ChurnDriverBackend::Round(const std::vector<TickInfo>& ticks,
 // --- replay backend ---------------------------------------------------------------
 
 ChurnReplayBackend::ChurnReplayBackend(const ChurnScript& script)
-    : script_(script),
-      stacks_(script.options.platform, kAlertdStackSeed),
-      budget_(script.options.initial_budget),
+    : stacks_(script.options.platform, kAlertdStackSeed),
       // Mirror the daemon's decision-plane configuration exactly: the defaults of
       // AlertdOptions are the contract the equivalence tests run under.
-      cache_policy_(AlertdOptions{}.cache_policy),
-      policy_(AlertdOptions{}.policy) {
+      coordinator_({}, script.options.initial_budget, AlertdOptions{}.policy) {
+  coordinator_.set_decision_cache_policy(AlertdOptions{}.cache_policy);
   saved_belief_.resize(script.tenants.size());
   has_saved_belief_.resize(script.tenants.size(), false);
 }
-
-ChurnReplayBackend::~ChurnReplayBackend() = default;
 
 int ChurnReplayBackend::FindSlot(int tenant) const {
   for (size_t i = 0; i < slots_.size(); ++i) {
@@ -561,56 +557,25 @@ Watts ChurnReplayBackend::FloorSum() const {
   return sum;
 }
 
-void ChurnReplayBackend::Rebuild(
-    const std::vector<std::optional<BeliefState>>& beliefs) {
-  ALERT_CHECK(beliefs.size() == slots_.size());
-  coordinator_.reset();
-  if (slots_.empty()) {
-    return;
-  }
-  std::vector<JobSpec> specs;
-  specs.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    JobSpec spec;
-    spec.name = slot.name;
-    spec.space = &slot.stack->space();
-    spec.goals = slot.goals;
-    specs.push_back(std::move(spec));
-  }
-  coordinator_ =
-      std::make_unique<MultiJobCoordinator>(std::move(specs), budget_, policy_);
-  if (cache_policy_.enabled()) {
-    coordinator_->set_decision_cache_policy(cache_policy_);
-  }
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (beliefs[i].has_value()) {
-      coordinator_->job(static_cast<int>(i)).RestoreBelief(*beliefs[i]);
-    }
-  }
-}
-
 void ChurnReplayBackend::Hello(const ChurnTenant& tenant, const Goals& goals,
                                std::vector<std::string>* transcript,
                                bool* admitted) {
   *admitted = false;
   const Stack& stack = stacks_.Get(tenant.config.task, tenant.config.dnn_set);
-  if (!AdmissionAllows(FloorSum(), MinPowerFloor(stack.space()), budget_)) {
+  if (!AdmissionAllows(FloorSum(), MinPowerFloor(stack.space()),
+                       coordinator_.total_power_budget())) {
     transcript->push_back(FormatErrorLine("tenant-hello", "admission"));
     return;
   }
-  std::vector<std::optional<BeliefState>> beliefs;
-  beliefs.reserve(slots_.size() + 1);
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    beliefs.push_back(coordinator_->job(static_cast<int>(i)).ExportBelief());
-  }
-  beliefs.push_back(std::nullopt);
+  JobSpec spec;
+  spec.name = tenant.config.name;
+  spec.space = &stack.space();
+  spec.goals = goals;
+  coordinator_.AddJob(std::move(spec));
   Slot slot;
   slot.tenant = TenantIndexFromName(tenant.config.name);
-  slot.name = tenant.config.name;
   slot.stack = &stack;
-  slot.goals = goals;
-  slots_.push_back(std::move(slot));
-  Rebuild(beliefs);
+  slots_.push_back(slot);
   transcript->push_back(
       FormatHelloOkLine(tenant.config.name, static_cast<int>(slots_.size())));
   *admitted = true;
@@ -621,17 +586,8 @@ void ChurnReplayBackend::Bye(const ChurnTenant& tenant,
   const int index =
       FindSlot(TenantIndexFromName(tenant.config.name));
   ALERT_CHECK(index >= 0);
-  std::vector<std::optional<BeliefState>> beliefs;
-  std::vector<Slot> survivors;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (static_cast<int>(i) == index) {
-      continue;
-    }
-    beliefs.push_back(coordinator_->job(static_cast<int>(i)).ExportBelief());
-    survivors.push_back(std::move(slots_[i]));
-  }
-  slots_ = std::move(survivors);
-  Rebuild(beliefs);
+  coordinator_.RemoveJob(index);
+  slots_.erase(slots_.begin() + index);
   transcript->push_back(FormatOkLine("tenant-bye", tenant.config.name));
 }
 
@@ -640,17 +596,13 @@ void ChurnReplayBackend::GoalSet(const ChurnTenant& tenant, const Goals& goals,
   const int index =
       FindSlot(TenantIndexFromName(tenant.config.name));
   ALERT_CHECK(index >= 0);
-  coordinator_->SetJobGoals(index, goals);
-  slots_[static_cast<size_t>(index)].goals = goals;
+  coordinator_.SetJobGoals(index, goals);
   transcript->push_back(FormatOkLine("goal-set", tenant.config.name));
 }
 
 void ChurnReplayBackend::LimitSet(Watts budget,
                                   std::vector<std::string>* transcript) {
-  budget_ = budget;
-  if (coordinator_ != nullptr) {
-    coordinator_->set_total_power_budget(budget);
-  }
+  coordinator_.set_total_power_budget(budget);
   transcript->push_back(FormatLimitOkLine(budget));
 }
 
@@ -661,7 +613,7 @@ void ChurnReplayBackend::SnapshotForReconnect(const ChurnTenant& tenant,
   ALERT_CHECK(index >= 0);
   const Slot& slot = slots_[static_cast<size_t>(index)];
   BeliefRecord record;
-  record.belief = coordinator_->job(index).ExportBelief();
+  record.belief = coordinator_.job(index).ExportBelief();
   record.has_decision = slot.has_decision;
   record.decision = slot.last_decision;
   saved_belief_[static_cast<size_t>(id)] = record;
@@ -676,7 +628,7 @@ void ChurnReplayBackend::Restore(const ChurnTenant& tenant,
   ALERT_CHECK(index >= 0);
   ALERT_CHECK(has_saved_belief_[static_cast<size_t>(id)]);
   const BeliefRecord& record = saved_belief_[static_cast<size_t>(id)];
-  coordinator_->job(index).RestoreBelief(record.belief);
+  coordinator_.job(index).RestoreBelief(record.belief);
   Slot& slot = slots_[static_cast<size_t>(index)];
   slot.has_decision = record.has_decision;
   slot.last_decision = record.decision;
@@ -695,7 +647,7 @@ void ChurnReplayBackend::Round(const std::vector<TickInfo>& ticks,
   for (size_t i = 0; i < ticks.size(); ++i) {
     ALERT_CHECK(ticks[i].tenant == slots_[i].tenant);
     if (ticks[i].has_measurement) {
-      coordinator_->job(static_cast<int>(i))
+      coordinator_.job(static_cast<int>(i))
           .Observe(slots_[i].last_decision, ticks[i].measurement);
     }
   }
@@ -704,7 +656,7 @@ void ChurnReplayBackend::Round(const std::vector<TickInfo>& ticks,
   for (const TickInfo& info : ticks) {
     requests.push_back(info.request);
   }
-  std::vector<SchedulingDecision> decisions = coordinator_->DecideRound(requests);
+  std::vector<SchedulingDecision> decisions = coordinator_.DecideRound(requests);
   for (size_t i = 0; i < ticks.size(); ++i) {
     slots_[i].last_decision = decisions[i];
     slots_[i].has_decision = true;

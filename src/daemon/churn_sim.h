@@ -11,10 +11,10 @@
 //     localhost TCP, one connection per live tenant (reconnect events really tear
 //     the connection down and dial again), and records every reply line verbatim;
 //   * ChurnReplayBackend  — the OFFLINE ORACLE: the same churn applied directly to a
-//     MultiJobCoordinator (rebuild-on-membership-change with BeliefState
-//     transplant, SetJobGoals / set_total_power_budget for reconfiguration — the
-//     same moves the daemon makes), formatting the lines the daemon WOULD send via
-//     the shared alertd.h formatters.
+//     MultiJobCoordinator (AddJob / RemoveJob in place for membership, SetJobGoals /
+//     set_total_power_budget for reconfiguration — the same moves the daemon
+//     makes), formatting the lines the daemon WOULD send via the shared alertd.h
+//     formatters.
 //
 // The interpreter owns everything both executions must agree on: membership
 // bookkeeping (including admission verdicts via the shared AdmissionAllows
@@ -182,7 +182,6 @@ class ChurnDriverBackend final : public ChurnBackend {
 class ChurnReplayBackend final : public ChurnBackend {
  public:
   explicit ChurnReplayBackend(const ChurnScript& script);
-  ~ChurnReplayBackend();
 
   void Hello(const ChurnTenant& tenant, const Goals& goals,
              std::vector<std::string>* transcript, bool* admitted) override;
@@ -201,26 +200,17 @@ class ChurnReplayBackend final : public ChurnBackend {
   // One admitted tenant, in admission order (== coordinator job order).
   struct Slot {
     int tenant = -1;
-    std::string name;
     const Stack* stack = nullptr;
-    Goals goals;
     bool has_decision = false;
     SchedulingDecision last_decision;
   };
 
   int FindSlot(int tenant) const;  // -1 when absent
   Watts FloorSum() const;
-  // Mirror of the daemon's rebuild: retire the old coordinator, reconstruct over
-  // the slots in admission order, transplant the given beliefs.
-  void Rebuild(const std::vector<std::optional<BeliefState>>& beliefs);
 
-  const ChurnScript& script_;
   StackCache stacks_;
-  Watts budget_;
-  DecisionCachePolicy cache_policy_;
-  AllocationPolicy policy_;
   std::vector<Slot> slots_;
-  std::unique_ptr<MultiJobCoordinator> coordinator_;
+  MultiJobCoordinator coordinator_;  // job i serves slots_[i]
   std::vector<BeliefRecord> saved_belief_;  // indexed by tenant universe id
   std::vector<bool> has_saved_belief_;
   int round_ = 0;

@@ -1,15 +1,20 @@
 // Tests for the batched multi-job decision plane: bit-identical equivalence with the
 // historical per-scheduler loop, the power-limit state-leak regression, allocation
-// edge cases, slack recycling, and the zero-allocation scoring path.
+// edge cases, slack recycling, the zero-allocation scoring path, and in-place
+// membership (AddJob/RemoveJob) against a freshly constructed coordinator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/alert_scheduler.h"
 #include "src/core/multi_job.h"
 #include "src/dnn/zoo.h"
@@ -442,6 +447,128 @@ TEST_F(MultiJobTest, SetJobGoalsInvalidatesOnlyTheOldGoalEntries) {
   const DecisionCacheStats final_stats = coordinator.decision_cache_stats();
   EXPECT_GT(final_stats.hits, before_final.hits);  // family A still hot
   EXPECT_EQ(final_round[1].power_index, warm_decisions[1].power_index);
+}
+
+// --- In-place membership ---
+
+// Entries a coordinator's family caches hold right now: every insertion is later
+// either evicted, dropped as stale, or still live.
+uint64_t LiveCacheEntries(const MultiJobCoordinator& coordinator) {
+  const DecisionCacheStats s = coordinator.decision_cache_stats();
+  return s.insertions - s.evictions - s.stale;
+}
+
+// A seeded random sequence of AddJob / RemoveJob / rounds (DecideRound then
+// ObserveRound) across four candidate families.  After every step the in-place
+// coordinator must decide bit-identically to a coordinator freshly constructed over
+// the same specs with every job's belief transplanted by RestoreBelief (the
+// reference semantics of a membership change).  A membership change must leave
+// every family cache empty, and the cumulative cache counters must never go
+// backwards.
+TEST_F(MultiJobTest, InPlaceMembershipDecidesLikeAFreshlyBuiltCoordinator) {
+  ConfigSpace space_b(sim_);  // content-identical to space_, a family of its own
+  std::vector<DnnModel> models_c =
+      BuildEvaluationSet(TaskId::kImageClassification, DnnSetChoice::kTraditionalOnly);
+  PlatformSimulator sim_c(GetPlatform(PlatformId::kCpu1), models_c);
+  ConfigSpace space_c(sim_c);
+  std::vector<DnnModel> models_d =
+      BuildEvaluationSet(TaskId::kSentencePrediction, DnnSetChoice::kBoth);
+  PlatformSimulator sim_d(GetPlatform(PlatformId::kCpu1), models_d);
+  ConfigSpace space_d(sim_d);
+  const ConfigSpace* spaces[] = {&space_, &space_b, &space_c, &space_d};
+  const Watts budget = 90.0;  // binding from about four jobs up
+  DecisionCachePolicy exact;
+  exact.mode = DecisionCacheMode::kExact;
+
+  for (const AllocationPolicy policy :
+       {AllocationPolicy::kProportional, AllocationPolicy::kSlackRecycling}) {
+    for (const DecisionCachePolicy& cache : {DecisionCachePolicy{}, exact}) {
+      SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy)
+                                      << " cache " << static_cast<int>(cache.mode));
+      MultiJobCoordinator coordinator({}, budget, policy);
+      coordinator.set_decision_cache_policy(cache);
+      std::vector<JobSpec> specs;  // mirrors the coordinator's jobs, in order
+      Rng rng(41);
+      int next_name = 0;
+      int round = 0;
+      DecisionCacheStats last = coordinator.decision_cache_stats();
+      int families_emptied = 0;
+
+      for (int step = 0; step < 240; ++step) {
+        SCOPED_TRACE(testing::Message() << "step " << step);
+        const int k = static_cast<int>(specs.size());
+        const int op = rng.UniformInt(0, 9);
+        bool membership = false;
+        if (k == 0 || (op < 4 && k < 12)) {
+          JobSpec spec;
+          spec.name = "job" + std::to_string(next_name++);
+          spec.space = spaces[rng.UniformInt(0, static_cast<int>(std::size(spaces)) - 1)];
+          spec.goals = AccuracyGoals(0.06 + 0.02 * rng.UniformInt(0, 3));
+          coordinator.AddJob(spec);
+          specs.push_back(spec);
+          membership = true;
+        } else if (op < 7) {
+          const int index = rng.UniformInt(0, k - 1);
+          const ConfigSpace* space = specs[static_cast<size_t>(index)].space;
+          coordinator.RemoveJob(index);
+          specs.erase(specs.begin() + index);
+          families_emptied += std::none_of(specs.begin(), specs.end(),
+                                           [space](const JobSpec& spec) {
+                                             return spec.space == space;
+                                           });
+          membership = true;
+        } else {
+          const auto decisions = coordinator.DecideRound(Requests(specs));
+          std::vector<Measurement> measurements;
+          for (size_t j = 0; j < decisions.size(); ++j) {
+            measurements.push_back(FakeMeasurement(decisions[j], *specs[j].space,
+                                                   specs[j].goals.deadline, round));
+          }
+          coordinator.ObserveRound(decisions, measurements);
+          ++round;
+        }
+        ASSERT_EQ(coordinator.num_jobs(), static_cast<int>(specs.size()));
+        for (size_t j = 0; j < specs.size(); ++j) {
+          ASSERT_EQ(coordinator.job_name(static_cast<int>(j)), specs[j].name);
+          ASSERT_EQ(&coordinator.job(static_cast<int>(j)).engine().space(),
+                    specs[j].space);
+        }
+        if (membership) {
+          EXPECT_EQ(LiveCacheEntries(coordinator), 0u);
+        }
+        const DecisionCacheStats now = coordinator.decision_cache_stats();
+        EXPECT_GE(now.hits, last.hits);
+        EXPECT_GE(now.misses, last.misses);
+        EXPECT_GE(now.insertions, last.insertions);
+        last = now;
+
+        MultiJobCoordinator fresh(specs, budget, policy);
+        fresh.set_decision_cache_policy(cache);
+        for (int j = 0; j < fresh.num_jobs(); ++j) {
+          fresh.job(j).RestoreBelief(coordinator.job(j).ExportBelief());
+        }
+        const auto requests = Requests(specs);
+        ExpectSameDecisions(coordinator.DecideRound(requests), fresh.DecideRound(requests));
+        if (testing::Test::HasFailure()) {
+          return;
+        }
+      }
+      // The sequence must really have emptied and refilled families.
+      EXPECT_GE(coordinator.num_families(), 4);
+      EXPECT_GT(families_emptied, 0);
+      EXPECT_GT(round, 20);
+    }
+  }
+}
+
+TEST_F(MultiJobTest, EmptyCoordinatorDecidesAnEmptyRound) {
+  MultiJobCoordinator coordinator({}, 50.0);
+  EXPECT_EQ(coordinator.num_jobs(), 0);
+  EXPECT_TRUE(coordinator.DecideRound({}).empty());
+  coordinator.AddJob(SharedFamilyJobs(1, 0.08)[0]);
+  coordinator.RemoveJob(0);
+  EXPECT_EQ(coordinator.num_families(), 1);  // the emptied family stays
+  EXPECT_TRUE(coordinator.DecideRound({}).empty());
 }
 
 }  // namespace

@@ -231,6 +231,57 @@ TEST_F(AlertdProtocolTest, StateMachineViolationsGetTypedErrors) {
   EXPECT_EQ(core_.stats().parse_errors, 0u);  // every line above parsed fine
 }
 
+// A hostile idle-power sample must never reach the Eq. 8 idle-power filter: one
+// negative m_idle (or m_ipower) would drive the learned idle ratio negative.
+TEST_F(AlertdProtocolTest, RoundTickRejectsNegativeIdleOrInferencePower) {
+  const Goals goals = AccuracyGoals(0.1);
+  ASSERT_EQ(OnlyReply(Send(1, HelloLine("t0", goals))).tag(), "ok");
+  ASSERT_EQ(Send(1, TickLine("t0", 0, goals.deadline)).size(), 2u);
+
+  const auto measured_tick = [&](double ipower, double idle) {
+    serde::RecordWriter w("round-tick");
+    w.Field("tenant", "t0");
+    w.Field("input", 1);
+    w.Field("deadline", goals.deadline);
+    w.Field("period", goals.deadline);
+    w.Field("m_latency", 0.05);
+    w.Field("m_period", goals.deadline);
+    w.Field("m_energy", 1.5);
+    w.Field("m_ipower", ipower);
+    w.Field("m_idle", idle);
+    w.Field("m_xi_t", 0.05);
+    w.Field("m_xi_f", 1.0);
+    w.Field("m_xi_c", false);
+    return w.line();
+  };
+  ExpectError(Send(1, measured_tick(30.0, -500.0)), "bad-measurement");
+  ExpectError(Send(1, measured_tick(-30.0, 5.0)), "bad-measurement");
+  // The refused ticks left the tenant serviceable: an honest one still fires.
+  EXPECT_EQ(Send(1, measured_tick(30.0, 5.0)).size(), 2u);
+}
+
+// A belief-restore carrying values no validated tick stream can produce is refused
+// before it reaches the scheduler.
+TEST_F(AlertdProtocolTest, BeliefRestoreRejectsNegativeLearnedValues) {
+  ASSERT_EQ(OnlyReply(Send(1, HelloLine("t0", AccuracyGoals(0.1)))).tag(), "ok");
+  const auto restore = [&](const BeliefState& belief) {
+    BeliefRecord record;
+    record.belief = belief;
+    return Send(1, FormatBeliefLine("belief-restore", "t0", record));
+  };
+  BeliefState belief;
+  belief.kalman.mean = -0.5;
+  ExpectError(restore(belief), "invalid-belief");
+  belief = BeliefState{};
+  belief.idle.ratio = -16.44;
+  ExpectError(restore(belief), "invalid-belief");
+  belief = BeliefState{};
+  belief.energy_spent = -1.0;
+  ExpectError(restore(belief), "invalid-belief");
+  EXPECT_EQ(OnlyReply(restore(BeliefState{})).tag(), "ok");
+  EXPECT_EQ(core_.stats().restores, 1u);
+}
+
 TEST_F(AlertdProtocolTest, SessionCloseEvictsItsTenantsAndCompletesTheBarrier) {
   const Goals goals = AccuracyGoals(0.1);
   ASSERT_EQ(OnlyReply(Send(1, HelloLine("t0", goals))).tag(), "ok");
@@ -242,8 +293,8 @@ TEST_F(AlertdProtocolTest, SessionCloseEvictsItsTenantsAndCompletesTheBarrier) {
   auto out = Send(2, TickLine("t2", 0, goals.deadline));
   ASSERT_EQ(out.size(), 1u);  // ack only, no round yet
 
-  // Session 1 vanishes without tenant-bye: its tenants are evicted in one rebuild
-  // and the departure completes the barrier — t2's decision must come out.
+  // Session 1 vanishes without tenant-bye: its tenants are evicted in one membership
+  // change and the departure completes the barrier — t2's decision must come out.
   std::vector<Outgoing> replies;
   core_.OnSessionClosed(1, &replies);
   EXPECT_EQ(core_.num_tenants(), 1);

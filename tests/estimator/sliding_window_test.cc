@@ -1,68 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/estimator/ewma.h"
 #include "src/estimator/sliding_window.h"
 
 namespace alert {
 namespace {
-
-// --- EWMA ---
-
-TEST(EwmaTest, ConvergesToConstant) {
-  EwmaEstimator e(0.2, 0.0);
-  for (int i = 0; i < 100; ++i) {
-    e.Update(3.0);
-  }
-  EXPECT_NEAR(e.mean(), 3.0, 1e-6);
-  EXPECT_NEAR(e.variance(), 0.0, 1e-6);
-}
-
-TEST(EwmaTest, AlphaOneTracksExactly) {
-  EwmaEstimator e(1.0, 0.0);
-  e.Update(5.0);
-  EXPECT_DOUBLE_EQ(e.mean(), 5.0);
-  e.Update(-2.0);
-  EXPECT_DOUBLE_EQ(e.mean(), -2.0);
-}
-
-TEST(EwmaTest, VarianceTracksNoiseScale) {
-  Rng rng(3);
-  EwmaEstimator e(0.1, 1.0);
-  for (int i = 0; i < 5000; ++i) {
-    e.Update(rng.Normal(1.0, 0.2));
-  }
-  EXPECT_NEAR(e.stddev(), 0.2, 0.06);
-}
-
-TEST(EwmaTest, SmallerAlphaSmootherMean) {
-  Rng rng1(5);
-  Rng rng2(5);
-  EwmaEstimator fast(0.5, 1.0);
-  EwmaEstimator slow(0.05, 1.0);
-  double fast_wobble = 0.0;
-  double slow_wobble = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    const double x1 = rng1.Normal(1.0, 0.3);
-    rng2.Normal(1.0, 0.3);  // keep streams aligned
-    const double prev_fast = fast.mean();
-    const double prev_slow = slow.mean();
-    fast.Update(x1);
-    slow.Update(x1);
-    if (i > 100) {
-      fast_wobble += std::abs(fast.mean() - prev_fast);
-      slow_wobble += std::abs(slow.mean() - prev_slow);
-    }
-  }
-  EXPECT_LT(slow_wobble, fast_wobble * 0.5);
-}
-
-TEST(EwmaTest, RejectsBadAlpha) {
-  EXPECT_DEATH(EwmaEstimator(0.0), "alpha");
-  EXPECT_DEATH(EwmaEstimator(1.5), "alpha");
-}
-
-// --- SlidingWindow ---
 
 TEST(SlidingWindowTest, FillsThenWraps) {
   SlidingWindow w(3);
