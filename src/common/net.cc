@@ -139,14 +139,19 @@ ReadStatus LineChannel::ReadLine(int timeout_ms, std::string* out) {
 }
 
 serde::Status LineChannel::WriteLine(std::string_view line) {
+  std::string buf(line);
+  buf.push_back('\n');
+  return WriteLines(buf);
+}
+
+serde::Status LineChannel::WriteLines(std::string_view lines) {
   if (write_fd_ < 0) {
     return serde::Error("WriteLine: stream already closed");
   }
-  std::string buf(line);
-  buf.push_back('\n');
   size_t written = 0;
-  while (written < buf.size()) {
-    const ssize_t n = ::write(write_fd_, buf.data() + written, buf.size() - written);
+  while (written < lines.size()) {
+    const ssize_t n =
+        ::write(write_fd_, lines.data() + written, lines.size() - written);
     if (n < 0) {
       if (errno == EINTR) {
         continue;

@@ -69,6 +69,9 @@ class LineChannel {
   // EINTR retried).  Errors once the peer is gone (EPIPE) or the write side is
   // closed.
   serde::Status WriteLine(std::string_view line);
+  // Writes `lines`, one or more lines each already ending in '\n', the same way —
+  // one write for a batch of lines instead of one per line.
+  serde::Status WriteLines(std::string_view lines);
 
   // Signals EOF to the peer: shutdown(SHUT_WR) when the fds are one socket,
   // close otherwise.  WriteLine fails afterwards.  Idempotent.

@@ -888,14 +888,23 @@ AlertdStats Alertd::stats() const {
 }
 
 void Alertd::Dispatch(std::vector<Outgoing>& replies) {
-  for (Outgoing& reply : replies) {
+  // One write per session per batch, its lines in reply order: a barrier round's
+  // decisions leave as one segment per peer rather than one per line.
+  for (const Outgoing& reply : replies) {
     for (Session& session : sessions_) {
       if (session.id == reply.session && session.channel != nullptr) {
-        // A write failure means the peer died mid-round; the next poll iteration
-        // observes the close and evicts its tenants — nothing to do here.
-        (void)session.channel->WriteLine(reply.line);
+        session.outbox += reply.line;
+        session.outbox.push_back('\n');
         break;
       }
+    }
+  }
+  for (Session& session : sessions_) {
+    if (!session.outbox.empty()) {
+      // A write failure means the peer died mid-round; the next poll iteration
+      // observes the close and evicts its tenants — nothing to do here.
+      (void)session.channel->WriteLines(session.outbox);
+      session.outbox.clear();
     }
   }
   replies.clear();

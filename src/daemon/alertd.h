@@ -411,6 +411,7 @@ class Alertd {
   struct Session {
     int id = 0;
     std::unique_ptr<net::LineChannel> channel;
+    std::string outbox;  // this batch's reply lines, '\n'-terminated (Dispatch)
   };
 
   void Loop();

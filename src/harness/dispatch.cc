@@ -444,7 +444,7 @@ serde::Status FailWorker(WorkerLink& link, int seq, const std::string& reason) {
 }
 
 // One lease: parse the grant, execute its units — polling for revocation between
-// setting groups — and stream results.  Status errors are protocol-fatal (the caller
+// replay rows — and stream results.  Status errors are protocol-fatal (the caller
 // exits 4); `died` reports injected death (exit 3).  `quiet` and `finished_total`
 // persist across leases: a worker that went silent stays silent, and the failure
 // injection thresholds count units over the worker's lifetime.  `pending` collects
@@ -581,7 +581,7 @@ serde::Status HandleLease(WorkerLink& link, const std::string& header_line,
     write_line(SerializeHeartbeat(header.seq, 0, idle_ms));
   }
 
-  // Revocation drain: between setting groups the runner polls should_cancel, which
+  // Revocation drain: between replay rows the runner polls should_cancel, which
   // pulls whatever the dispatcher sent mid-lease.  A revoke for this lease stops new
   // groups; a revoke for any other seq targets a lease this worker has not started —
   // the prefetched next lease — and is remembered in `revoked_seqs` so that lease is
@@ -637,7 +637,7 @@ serde::Status HandleLease(WorkerLink& link, const std::string& header_line,
     }
   };
 
-  // Periodic liveness while executing: a setting group can legitimately run longer
+  // Periodic liveness while executing: a replay row can legitimately run longer
   // than the dispatcher's straggler deadline, and silence must mean trouble, not
   // depth of work.  RAII (HeartbeatThread) guarantees the thread is joined before
   // any return below tears down the write path — including exceptions unwinding out
@@ -1209,6 +1209,16 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
         break;
       }
       take(static_cast<int>(fresh_cursor++));
+    }
+    // Row close: a warm fresh lease that stopped inside a replay row takes the rest
+    // of it, so the row's static searches share their replays on one worker.
+    if (rate_known && !*is_retry && !ids.empty()) {
+      const SweepReplayRow row = ReplayRowOf(plan.units[static_cast<size_t>(ids.back())]);
+      for (skip_fresh(); fresh_cursor < plan.units.size() &&
+                         ReplayRowOf(plan.units[fresh_cursor]) == row;
+           skip_fresh()) {
+        take(static_cast<int>(fresh_cursor++));
+      }
     }
     return ids;
   };

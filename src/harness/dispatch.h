@@ -145,9 +145,9 @@ struct DispatchWorkerOptions {
   int threads = 0;  // RunSweepUnits width on this worker; 0 = hardware concurrency
   // While executing, a background thread emits a heartbeat line at this interval so
   // the dispatcher's straggler deadline measures *liveness*, not time-between-results
-  // — a healthy worker grinding through one long setting group must not look silent.
+  // — a healthy worker grinding through one long replay row must not look silent.
   // 0 disables (then only results and the initial heartbeat prove liveness; pair
-  // with a straggler deadline longer than the longest single group, or rely on the
+  // with a straggler deadline longer than the longest single row, or rely on the
   // dispatcher's cost-scaled deadline).
   int heartbeat_interval_ms = 5000;
   // Failure injection (tests and the CI e2e): after finishing N units, die
@@ -327,6 +327,11 @@ struct DispatchOptions {
   // target_lease_ms, capped at max_lease_units; while the cost model is unseeded,
   // leases stay small (warm-up).  target_lease_ms trades scheduling overhead
   // against tail latency — smaller leases steal/rebalance faster but chat more.
+  // Row close: once the worker's rate is known, a lease of fresh units that reaches
+  // either limit inside a replay row (ReplayRowOf) also takes the rest of that row,
+  // so the row's static searches share one replay on one worker.  Such a lease can
+  // exceed max_lease_units by up to one row less one unit.  Cold (warm-up) leases and
+  // leases carrying requeued units stop at the limit.
   int target_lease_ms = 1000;
   int max_lease_units = 64;
   // Seeds the cost model (ms per SweepUnitCost point) so the first leases and

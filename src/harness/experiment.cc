@@ -155,11 +155,13 @@ RunResult Experiment::Run(const Stack& stack, Scheduler& scheduler, const Goals&
 
 namespace {
 
-// A trivial scheduler that always returns the same configuration.
+// A trivial scheduler that always returns the same configuration and hands each
+// measurement to an optional observer.
 class StaticScheduler final : public Scheduler {
  public:
-  StaticScheduler(const ConfigSpace& space, const Configuration& config)
-      : space_(space), config_(config) {}
+  StaticScheduler(const ConfigSpace& space, const Configuration& config,
+                  const std::function<void(const Measurement&)>& on_input)
+      : space_(space), config_(config), on_input_(on_input) {}
 
   SchedulingDecision Decide(const InferenceRequest&) override {
     SchedulingDecision d;
@@ -168,19 +170,25 @@ class StaticScheduler final : public Scheduler {
     d.power_cap = space_.cap(config_.power_index);
     return d;
   }
-  void Observe(const SchedulingDecision&, const Measurement&) override {}
+  void Observe(const SchedulingDecision&, const Measurement& m) override {
+    if (on_input_) {
+      on_input_(m);
+    }
+  }
   std::string_view name() const override { return "Static"; }
 
  private:
   const ConfigSpace& space_;
   Configuration config_;
+  const std::function<void(const Measurement&)>& on_input_;
 };
 
 }  // namespace
 
-RunResult Experiment::RunStatic(const Stack& stack, const Configuration& config,
-                                const Goals& goals, bool keep_records) const {
-  StaticScheduler scheduler(stack.space(), config);
+RunResult Experiment::RunStatic(
+    const Stack& stack, const Configuration& config, const Goals& goals, bool keep_records,
+    const std::function<void(const Measurement&)>& on_input) const {
+  StaticScheduler scheduler(stack.space(), config, on_input);
   return Run(stack, scheduler, goals, keep_records);
 }
 

@@ -11,6 +11,7 @@
 #ifndef SRC_HARNESS_EXPERIMENT_H_
 #define SRC_HARNESS_EXPERIMENT_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -148,9 +149,12 @@ class Experiment {
   RunResult Run(const Stack& stack, Scheduler& scheduler, const Goals& goals,
                 bool keep_records = false) const;
 
-  // Runs one fixed configuration (no adaptation) over the trace.
+  // Runs one fixed configuration (no adaptation) over the trace.  `on_input`, when
+  // set, sees every input's measurement in trace order, so a caller can score one
+  // replay against several goals that share its deadline (FindStaticOracles).
   RunResult RunStatic(const Stack& stack, const Configuration& config, const Goals& goals,
-                      bool keep_records = false) const;
+                      bool keep_records = false,
+                      const std::function<void(const Measurement&)>& on_input = {}) const;
 
   // Whether an input's measurement violates a per-input-checkable constraint.
   static bool Violates(const Goals& goals, const Measurement& m);

@@ -186,12 +186,27 @@ SweepPlan BuildSweepPlan(const SweepSpec& spec) {
   return plan;
 }
 
+SweepReplayRow ReplayRowOf(const SweepUnit& unit) {
+  // BuildConstraintGrid is deadline-major: each deadline is followed by all of its
+  // accuracy goals (energy mode) or energy budgets (the other modes).
+  const size_t per_deadline = unit.cell.mode == GoalMode::kMinimizeEnergy
+                                  ? AccuracyGoalsFor(unit.cell.task).size()
+                                  : EnergyBudgetFractions().size();
+  return SweepReplayRow{static_cast<int>(unit.cell.task),
+                        static_cast<int>(unit.cell.platform),
+                        static_cast<int>(unit.cell.contention),
+                        static_cast<int>(unit.cell.mode), unit.seed,
+                        unit.grid_index / static_cast<int>(per_deadline)};
+}
+
 double SweepUnitCost(const SweepUnit& unit) {
   const TaskId task = unit.cell.task;
   const PlatformId platform = unit.cell.platform;
   double configs_per_input = 0.0;
   if (unit.kind == SweepUnitKind::kStaticOracle) {
-    // One full trace replay per configuration of the kBoth space.
+    // One full trace replay per configuration of the kBoth space.  That is the cost
+    // of a search run alone; the searches of one replay row share their replays
+    // (ReplayRowOf), so each of a full row's six costs about a sixth of this.
     configs_per_input = NumConfigurations(task, DnnSetChoice::kBoth, platform);
   } else {
     switch (unit.scheme) {

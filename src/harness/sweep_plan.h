@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -159,6 +160,15 @@ class SweepUnitStream {
 // first).  Returns an owned value; the plan borrows nothing.  Materializes a
 // SweepUnitStream — use the stream directly when the unit list itself is not needed.
 SweepPlan BuildSweepPlan(const SweepSpec& spec);
+
+// A unit's replay row: its (cell, seed) and the deadline row of its grid setting —
+// (task, platform, contention, mode, seed, deadline row).  The settings of one row
+// share a deadline, so their static-oracle searches replay the trace identically:
+// RunSweepUnits runs them as one FindStaticOracles call, and the dispatcher closes
+// warm leases on row boundaries so one worker holds the whole row.  Rows compare in
+// plan order within a cell and seed.
+using SweepReplayRow = std::tuple<int, int, int, int, uint64_t, int>;
+SweepReplayRow ReplayRowOf(const SweepUnit& unit);
 
 // Deterministic relative cost of a unit, used by cost-weighted partitioning: inputs
 // processed x configurations scanned per input.  A static-oracle unit replays the

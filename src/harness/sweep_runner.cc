@@ -19,7 +19,6 @@ namespace {
 // profiled stacks are goal-agnostic), so cells differing only in mode share one.
 using ExperimentKey = std::tuple<int, int, int, uint64_t>;
 using GridKey = std::tuple<int, int, int>;  // mode, task, platform
-using SettingKey = std::tuple<int, int, int, int, uint64_t, int>;
 
 ExperimentKey KeyOf(const SweepUnit& unit) {
   return ExperimentKey{static_cast<int>(unit.cell.task),
@@ -30,13 +29,6 @@ ExperimentKey KeyOf(const SweepUnit& unit) {
 GridKey GridKeyOf(const SweepCellSpec& cell) {
   return GridKey{static_cast<int>(cell.mode), static_cast<int>(cell.task),
                  static_cast<int>(cell.platform)};
-}
-
-SettingKey SettingKeyOf(const SweepUnit& unit) {
-  return SettingKey{static_cast<int>(unit.cell.task),
-                    static_cast<int>(unit.cell.platform),
-                    static_cast<int>(unit.cell.contention),
-                    static_cast<int>(unit.cell.mode), unit.seed, unit.grid_index};
 }
 
 ExperimentOptions MakeExperimentOptions(const SweepSpec& spec, uint64_t seed) {
@@ -56,21 +48,23 @@ std::vector<SweepUnitResult> RunSweepUnits(const SweepPlan& plan,
                                            const SweepRunOptions& options) {
   // Units executed together for one constraint setting: the static-oracle search (if
   // present in `units`) plus any scheme runs.  Grouping preserves the historical
-  // skip-schemes-when-static-infeasible shortcut and gives ParallelFor the same
-  // per-setting granularity the monolithic sweep always had.
+  // skip-schemes-when-static-infeasible shortcut.
   struct SettingGroup {
     int static_pos = -1;        // index into `units`, -1 if absent
     std::vector<int> scheme_pos;
   };
+  // The ParallelFor item: the setting groups of one replay row, by grid index.  Its
+  // static searches share one replay per configuration (FindStaticOracles).
+  using Row = std::map<int, SettingGroup>;
 
-  std::map<SettingKey, SettingGroup> groups;
+  std::map<SweepReplayRow, Row> rows;
   std::map<ExperimentKey, std::unique_ptr<Experiment>> experiments;
   std::map<GridKey, std::vector<Goals>> grids;
   for (size_t i = 0; i < units.size(); ++i) {
     const SweepUnit& unit = units[i];
     ALERT_CHECK(unit.id >= 0 && static_cast<size_t>(unit.id) < plan.units.size());
     ALERT_CHECK(unit == plan.units[static_cast<size_t>(unit.id)]);
-    SettingGroup& group = groups[SettingKeyOf(unit)];
+    SettingGroup& group = rows[ReplayRowOf(unit)][unit.grid_index];
     if (unit.kind == SweepUnitKind::kStaticOracle) {
       ALERT_CHECK(group.static_pos < 0);  // plans carry one static unit per setting
       group.static_pos = static_cast<int>(i);
@@ -90,89 +84,112 @@ std::vector<SweepUnitResult> RunSweepUnits(const SweepPlan& plan,
     ALERT_CHECK(static_cast<size_t>(unit.grid_index) < grid.size());
   }
 
-  std::vector<const SettingGroup*> group_list;
-  group_list.reserve(groups.size());
-  for (const auto& [key, group] : groups) {
-    group_list.push_back(&group);
+  std::vector<const Row*> row_list;
+  row_list.reserve(rows.size());
+  for (const auto& [key, row] : rows) {
+    row_list.push_back(&row);
   }
 
   std::vector<SweepUnitResult> results(units.size());
   std::vector<double> unit_ms(units.size(), 0.0);
   std::mutex stream_mutex;
   ParallelFor(
-      static_cast<int>(group_list.size()),
-      [&](int g) {
-        const SettingGroup& group = *group_list[static_cast<size_t>(g)];
+      static_cast<int>(row_list.size()),
+      [&](int r) {
+        const Row& row = *row_list[static_cast<size_t>(r)];
         if (options.should_cancel) {
           // Checked under the stream mutex: the cancel source (the dispatch
           // worker's revoke drain) is shared with on_result and is not
           // thread-safe on its own.
           const std::lock_guard<std::mutex> lock(stream_mutex);
           if (options.should_cancel()) {
-            return;  // leave the group's result slots default-initialized
+            return;  // leave the row's result slots default-initialized
           }
         }
-        const auto group_clock = [] { return std::chrono::steady_clock::now(); };
+        const auto clock = [] { return std::chrono::steady_clock::now(); };
         const auto ms_between = [](std::chrono::steady_clock::time_point a,
                                    std::chrono::steady_clock::time_point b) {
           return std::chrono::duration<double, std::milli>(b - a).count();
         };
-        const int any_pos =
-            group.static_pos >= 0 ? group.static_pos : group.scheme_pos.front();
-        const SweepUnit& any_unit = units[static_cast<size_t>(any_pos)];
+        const SettingGroup& first = row.begin()->second;
+        const SweepUnit& any_unit = units[static_cast<size_t>(
+            first.static_pos >= 0 ? first.static_pos : first.scheme_pos.front())];
         const Experiment& experiment = *experiments.at(KeyOf(any_unit));
-        const Goals& goals =
-            grids.at(GridKeyOf(any_unit.cell))[static_cast<size_t>(any_unit.grid_index)];
+        const std::vector<Goals>& grid = grids.at(GridKeyOf(any_unit.cell));
         const GoalMode mode = any_unit.cell.mode;
         const TaskId task = any_unit.cell.task;
 
-        bool static_infeasible = false;
-        if (group.static_pos >= 0) {
-          const SweepUnit& unit = units[static_cast<size_t>(group.static_pos)];
-          const auto t0 = group_clock();
-          const StaticOracleResult static_best = FindStaticOracle(
-              experiment, experiment.stack(DnnSetChoice::kBoth), goals);
-          unit_ms[static_cast<size_t>(group.static_pos)] = ms_between(t0, group_clock());
-          SweepUnitResult& out = results[static_cast<size_t>(group.static_pos)];
-          out.unit_id = unit.id;
-          out.usable = static_best.feasible;
-          if (static_best.feasible) {
-            out.metric = MetricValue(mode, task, static_best.result);
+        // The row's static searches, as one shared replay per configuration; each
+        // search is charged an equal share of the time.  Run just before the first
+        // setting group that has a static unit, so groups without one (a lease that
+        // starts mid-setting) still stream as early as they did alone.
+        const auto search_row_statics = [&] {
+          std::vector<Goals> static_goals;
+          std::vector<int> static_pos;
+          for (const auto& [grid_index, group] : row) {
+            if (group.static_pos >= 0) {
+              static_goals.push_back(grid[static_cast<size_t>(grid_index)]);
+              static_pos.push_back(group.static_pos);
+            }
           }
-          static_infeasible = !static_best.feasible;
-        }
+          const auto t0 = clock();
+          const std::vector<StaticOracleResult> oracles = FindStaticOracles(
+              experiment, experiment.stack(DnnSetChoice::kBoth), static_goals);
+          const double share_ms =
+              ms_between(t0, clock()) / static_cast<double>(static_goals.size());
+          for (size_t k = 0; k < static_pos.size(); ++k) {
+            const size_t pos = static_cast<size_t>(static_pos[k]);
+            unit_ms[pos] = share_ms;
+            results[pos].unit_id = units[pos].id;
+            results[pos].usable = oracles[k].feasible;
+            if (oracles[k].feasible) {
+              results[pos].metric = MetricValue(mode, task, oracles[k].result);
+            }
+          }
+        };
 
-        for (const int pos : group.scheme_pos) {
-          const SweepUnit& unit = units[static_cast<size_t>(pos)];
-          SweepUnitResult& out = results[static_cast<size_t>(pos)];
-          out.unit_id = unit.id;
-          if (static_infeasible) {
-            // The merge plane drops this setting wholesale; don't spend the run.
-            out.skipped = true;
-            continue;
+        bool statics_searched = false;
+        for (const auto& [grid_index, group] : row) {
+          const Goals& goals = grid[static_cast<size_t>(grid_index)];
+          if (group.static_pos >= 0 && !statics_searched) {
+            search_row_statics();
+            statics_searched = true;
           }
-          const auto t0 = group_clock();
-          auto scheduler = MakeScheduler(unit.scheme, experiment, goals);
-          const RunResult run = experiment.Run(
-              experiment.stack(SchemeDnnSet(unit.scheme)), *scheduler, goals);
-          unit_ms[static_cast<size_t>(pos)] = ms_between(t0, group_clock());
-          if (!SettingViolated(goals, run)) {
-            out.usable = true;
-            out.metric = MetricValue(mode, task, run);
-          }
-        }
-
-        if (options.on_result) {
-          // Stream the whole setting group at once: the skip decision above is only
-          // coherent at group granularity.
-          const std::lock_guard<std::mutex> lock(stream_mutex);
-          if (group.static_pos >= 0) {
-            options.on_result(results[static_cast<size_t>(group.static_pos)],
-                              unit_ms[static_cast<size_t>(group.static_pos)]);
-          }
+          const bool static_infeasible =
+              group.static_pos >= 0 &&
+              !results[static_cast<size_t>(group.static_pos)].usable;
           for (const int pos : group.scheme_pos) {
-            options.on_result(results[static_cast<size_t>(pos)],
-                              unit_ms[static_cast<size_t>(pos)]);
+            const SweepUnit& unit = units[static_cast<size_t>(pos)];
+            SweepUnitResult& out = results[static_cast<size_t>(pos)];
+            out.unit_id = unit.id;
+            if (static_infeasible) {
+              // The merge plane drops this setting wholesale; don't spend the run.
+              out.skipped = true;
+              continue;
+            }
+            const auto t0 = clock();
+            auto scheduler = MakeScheduler(unit.scheme, experiment, goals);
+            const RunResult run = experiment.Run(
+                experiment.stack(SchemeDnnSet(unit.scheme)), *scheduler, goals);
+            unit_ms[static_cast<size_t>(pos)] = ms_between(t0, clock());
+            if (!SettingViolated(goals, run)) {
+              out.usable = true;
+              out.metric = MetricValue(mode, task, run);
+            }
+          }
+
+          if (options.on_result) {
+            // Stream the whole setting group at once: the skip decision above is
+            // only coherent at group granularity.
+            const std::lock_guard<std::mutex> lock(stream_mutex);
+            if (group.static_pos >= 0) {
+              options.on_result(results[static_cast<size_t>(group.static_pos)],
+                                unit_ms[static_cast<size_t>(group.static_pos)]);
+            }
+            for (const int pos : group.scheme_pos) {
+              options.on_result(results[static_cast<size_t>(pos)],
+                                unit_ms[static_cast<size_t>(pos)]);
+            }
           }
         }
       },

@@ -2,8 +2,10 @@
 //
 // `RunSweepUnits` executes any subset of a plan's units in-process — one shard, or the
 // whole plan — sharing Experiments (trace + stacks) across units of the same
-// (task, platform, contention, seed) and parallelizing across constraint settings with
-// ParallelFor.  Every unit is a pure function of (plan spec, unit fields), so the
+// (task, platform, contention, seed) and parallelizing across replay rows (the
+// settings of one cell and seed that share a deadline; see ReplayRowOf) with
+// ParallelFor.  A row's static-oracle searches share one trace replay per
+// configuration.  Every unit is a pure function of (plan spec, unit fields), so the
 // results are independent of thread count, unit order, and how the plan was sharded.
 //
 // `SweepMergeAccumulator` is the single aggregation implementation: it accepts
@@ -32,7 +34,7 @@
 namespace alert {
 
 struct SweepRunOptions {
-  int threads = 0;  // ParallelFor width across settings; 0 = hardware concurrency
+  int threads = 0;  // ParallelFor width across replay rows; 0 = hardware concurrency
 
   // Warm-start profile snapshots (see ProfileSnapshotStore): when non-null,
   // Experiments constructed for the run adopt matching snapshots instead of
@@ -41,19 +43,21 @@ struct SweepRunOptions {
   const ProfileSnapshotStore* warm_start = nullptr;
 
   // Streaming hook: invoked once per finished unit, as soon as its setting group
-  // completes.  `unit_ms` is the unit's observed wall time on this machine (the
-  // dispatch worker streams it back as cost-model feedback; 0.0 for skipped units).
-  // Calls are serialized under an internal mutex but their order across setting
-  // groups is nondeterministic (it follows ParallelFor completion order); consumers
+  // completes: the static unit first, then the schemes in `units` order.  `unit_ms`
+  // is the unit's observed wall time on this machine (the dispatch worker streams it
+  // back as cost-model feedback; 0.0 for skipped units); a static unit reports its
+  // equal share of its row's shared search.  Calls are serialized under an internal
+  // mutex.  Within a row, setting groups stream in grid order; the order across rows
+  // is nondeterministic (it follows ParallelFor completion order); consumers
   // that need determinism must key on result.unit_id, as the merge plane does.  The
   // returned result vector is unaffected.  The callback must not re-enter the sweep
   // runner.
   std::function<void(const SweepUnitResult& result, double unit_ms)> on_result;
 
   // Cooperative cancellation: polled (serialized under the same internal mutex as
-  // on_result) before each setting group starts.  Once it returns true, groups that
-  // have not started are neither executed nor streamed — their slots in the returned
-  // vector stay default-initialized (unit_id == -1).  Groups already running finish
+  // on_result) before each replay row starts.  Once it returns true, rows that have
+  // not started are neither executed nor streamed — their slots in the returned
+  // vector stay default-initialized (unit_id == -1).  Rows already running finish
   // and stream normally.  The dispatch worker wires this to lease revocation.
   std::function<bool()> should_cancel;
 };
@@ -62,7 +66,7 @@ struct SweepRunOptions {
 // same id — ALERT_CHECKed, a violated precondition is a caller bug) and returns one
 // result per unit, in the same order.  Deterministic for a given (plan, units):
 // thread count, shard shape, and warm-start never change a result — except under
-// should_cancel, which leaves unstarted groups' slots default-initialized (callers
+// should_cancel, which leaves unstarted rows' slots default-initialized (callers
 // stream executed results instead of consuming the vector).  When a setting's
 // static-oracle unit is part of `units` and turns out infeasible, that setting's
 // scheme units in `units` are marked skipped instead of run — the merge plane

@@ -388,6 +388,82 @@ TEST(PullLeaseWantsMoreTest, MaxUnitsClampBindsEvenWhenPredictionsStayZero) {
   EXPECT_FALSE(PullLeaseWantsMore(3, kMax, kColdCap, true, 1000.0, 1000));
 }
 
+// --- row-closed leases ----------------------------------------------------------
+
+// One cell, two schemes, the full grid: 108 units in six replay rows of 18.
+SweepPlan FullRowPlan() {
+  SweepSpec spec = ToySpec();
+  spec.grid_indices.clear();
+  return BuildSweepPlan(spec);
+}
+
+// Dispatches `plan` and returns every granted lease's unit ids, in grant order.
+std::vector<std::vector<int>> GrantedLeases(const SweepPlan& plan,
+                                            InProcessTransport::Options in_options,
+                                            DispatchOptions options) {
+  std::vector<std::vector<int>> leases;
+  options.on_assign = [&](int, int, std::span<const int> ids) {
+    leases.emplace_back(ids.begin(), ids.end());
+  };
+  InProcessTransport transport(std::move(in_options));
+  std::vector<CellResult> cells;
+  const serde::Status s = DispatchSweep(plan, transport, options, &cells);
+  EXPECT_TRUE(s.ok) << s.message;
+  return leases;
+}
+
+std::vector<int> IdRange(int first, int last) {
+  std::vector<int> ids;
+  for (int id = first; id <= last; ++id) {
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(RowClosedLeaseTest, WarmLeasesThatHitALimitMidRowCloseOnTheRowBoundary) {
+  const SweepPlan plan = FullRowPlan();
+  ASSERT_EQ(plan.units.size(), 108u);
+  DispatchOptions options;
+  options.num_workers = 1;
+  options.initial_cost_rate_ms = 1.0;  // warm from the first lease
+  options.max_lease_units = 5;
+  options.target_lease_ms = 1000000;  // only the unit cap binds
+  const std::vector<std::vector<int>> leases = GrantedLeases(plan, {}, options);
+  ASSERT_EQ(leases.size(), 6u);
+  for (size_t i = 0; i < leases.size(); ++i) {
+    const int first = 18 * static_cast<int>(i);
+    EXPECT_EQ(leases[i], IdRange(first, first + 17)) << "lease " << i;
+  }
+}
+
+TEST(RowClosedLeaseTest, ColdLeasesStopAtTheirLimit) {
+  const SweepPlan plan = FullRowPlan();
+  DispatchOptions options;
+  options.num_workers = 1;
+  options.max_lease_units = 5;
+  const std::vector<std::vector<int>> leases = GrantedLeases(plan, {}, options);
+  ASSERT_GE(leases.size(), 2u);
+  EXPECT_EQ(leases[0], IdRange(0, 4));  // cold: the rate is still unknown
+  EXPECT_EQ(leases[1], IdRange(5, 17));  // warm by now: closes the row
+}
+
+TEST(RowClosedLeaseTest, RetryLeasesStopAtTheirLimit) {
+  const SweepPlan plan = FullRowPlan();
+  InProcessTransport::Options in_options;
+  in_options.fail_after = {{0, 16}};  // dies with units 16 and 17 of its lease unsent
+  DispatchOptions options;
+  options.num_workers = 1;
+  options.initial_cost_rate_ms = 1.0;
+  options.max_lease_units = 5;
+  options.target_lease_ms = 1000000;
+  const std::vector<std::vector<int>> leases = GrantedLeases(plan, in_options, options);
+  ASSERT_GE(leases.size(), 3u);
+  EXPECT_EQ(leases[0], IdRange(0, 17));
+  // The requeued pair plus fresh units up to the cap, although unit 20 is mid-row.
+  EXPECT_EQ(leases[1], (std::vector<int>{16, 17, 18, 19, 20}));
+  EXPECT_EQ(leases[2], IdRange(21, 35));
+}
+
 TEST(EffectiveLeaseDeadlineTest, StretchesForLongUnitsAndFallsBackToFlat) {
   EXPECT_EQ(EffectiveLeaseDeadlineMs(100, 4.0, 0.0), 100);     // model unknown
   EXPECT_EQ(EffectiveLeaseDeadlineMs(100, 0.0, 500.0), 100);   // scaling disabled

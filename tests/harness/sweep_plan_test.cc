@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
+
+#include "src/harness/constraint_grid.h"
 
 namespace alert {
 namespace {
@@ -194,6 +197,28 @@ TEST(SweepPlanTest, PartitionsAreDeterministic) {
   for (const ShardStrategy strategy :
        {ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted}) {
     EXPECT_EQ(PartitionPlan(plan, 5, strategy), PartitionPlan(plan, 5, strategy));
+  }
+}
+
+TEST(SweepPlanTest, ReplayRowsAreTheSettingsThatShareACellSeedAndDeadline) {
+  SweepSpec spec = SmallSpec();
+  spec.grid_indices.clear();
+  const SweepPlan plan = BuildSweepPlan(spec);
+  std::vector<double> deadline;
+  for (const SweepUnit& unit : plan.units) {
+    deadline.push_back(BuildConstraintGrid(unit.cell.mode, unit.cell.task,
+                                           unit.cell.platform)[static_cast<size_t>(
+                                               unit.grid_index)]
+                           .deadline);
+  }
+  for (const SweepUnit& a : plan.units) {
+    for (const SweepUnit& b : plan.units) {
+      const bool same_row =
+          a.cell == b.cell && a.seed == b.seed &&
+          deadline[static_cast<size_t>(a.id)] == deadline[static_cast<size_t>(b.id)];
+      ASSERT_EQ(ReplayRowOf(a) == ReplayRowOf(b), same_row)
+          << "units " << a.id << " and " << b.id;
+    }
   }
 }
 

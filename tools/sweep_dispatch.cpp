@@ -60,7 +60,9 @@ namespace {
       "                         round-robin; pull leases are plan-order prefixes)\n"
       "  --target-lease-ms=N    pull mode: size each lease to ~N ms of predicted\n"
       "                         work (default 1000)\n"
-      "  --max-lease-units=N    pull mode: hard cap on units per lease (default 64)\n"
+      "  --max-lease-units=N    pull mode: cap on units per lease (default 64); a\n"
+      "                         warm lease that reaches a limit mid replay row\n"
+      "                         takes the rest of the row\n"
       "  --initial-cost-rate=R  seed the cost model at R ms per cost point instead\n"
       "                         of learning from the first results (default 0 = learn)\n"
       "  --no-steal             disable lease stealing for idle workers\n"
