@@ -1,13 +1,15 @@
 # End-to-end check of the pull-based dispatcher, run as a ctest (and as a CI step):
 #   1. sweep_shard writes its example spec; the monolithic path (K=1) produces mono.csv;
 #   2. sweep_dispatch must reproduce mono.csv byte-for-byte over every transport
-#      (subprocess, in-process, command, localhost socket) and for K in {2,4,8};
+#      (subprocess with the built-in argv or a --worker-cmd shell template,
+#      in-process, localhost socket — also from a directory whose path holds a
+#      space) and for K in {2,4,8};
 #   3. ditto under failure injection: a worker killed mid-lease (--inject-fail), a
 #      silent worker tripping the straggler deadline (--inject-hang), and a slow
 #      worker whose lease gets stolen (--inject-delay with a small lease target);
-#   4. ditto with --static-leases (the pre-pull baseline path stays supported);
-#   5. ditto with --pipeline-leases (grant N+1 while N drains);
-#   6. kill-the-dispatcher-then-resume: --crash-after exits nonzero mid-sweep, a
+#      injection flags a --worker-cmd template could never receive are refused;
+#   4. ditto with --pipeline-leases (grant N+1 while N drains);
+#   5. kill-the-dispatcher-then-resume: --crash-after exits nonzero mid-sweep, a
 #      rerun with the same --checkpoint-dir preseeds the surviving checkpoint and
 #      finishes; the resumed CSV is byte-compared to mono.csv on every transport,
 #      and a deliberately corrupted checkpoint must be a hard error, not a silent
@@ -41,6 +43,17 @@ function(run_step_logged name)
     file(READ ${WORK_DIR}/logs/${name}.log log_tail)
     message(FATAL_ERROR "dispatch_e2e: step '${name}' failed with exit code ${rc}; "
                         "log follows\n${log_tail}")
+  endif()
+endfunction()
+
+# For steps that must fail: a zero exit is the error.  stderr goes to
+# logs/<name>.log.
+function(run_step_expect_failure name)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY ${WORK_DIR} RESULT_VARIABLE rc
+                  ERROR_FILE ${WORK_DIR}/logs/${name}.log)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "dispatch_e2e: step '${name}' was expected to fail but "
+                        "exited 0")
   endif()
 endfunction()
 
@@ -90,17 +103,26 @@ foreach(k 2 4 8)
   compare_files(mono.csv dispatched_k${k}.csv)
 endforeach()
 
-# Static leases: the pre-pull baseline (whole LPT shards, no stealing) stays exact.
-run_step(${SWEEP_DISPATCH} --spec=spec.txt --workers=3 --transport=inprocess
-         --static-leases --strategy=cost-weighted --out=dispatched_static.csv)
-compare_files(mono.csv dispatched_static.csv)
-
-# Command transport: the worker command is a shell template ({worker} expands to the
-# launch index) — locally it just execs sweep_shard, remotely it would be ssh.
-run_step(${SWEEP_DISPATCH} --spec=spec.txt --workers=2 --transport=command
+# Worker command template: the subprocess transport runs it under /bin/sh -c
+# ({worker} expands to the launch index) — locally it just execs sweep_shard,
+# remotely it would be ssh.
+run_step(${SWEEP_DISPATCH} --spec=spec.txt --workers=2 --transport=subprocess
          "--worker-cmd=${SWEEP_SHARD} --worker --threads={worker}"
          --out=dispatched_cmd.csv)
 compare_files(mono.csv dispatched_cmd.csv)
+
+# A template renders its own worker flags, so injection flags could never reach it:
+# the dispatcher must refuse the combination on every process transport instead of
+# silently running clean.
+foreach(transport subprocess socket)
+  run_step_expect_failure(inject_with_cmd_${transport} ${SWEEP_DISPATCH}
+                          --spec=spec.txt --workers=2 --transport=${transport}
+                          "--worker-cmd=${SWEEP_SHARD} --worker --threads=2"
+                          --inject-fail=0:1 --out=dispatched_inject_cmd.csv)
+endforeach()
+if(EXISTS ${WORK_DIR}/dispatched_inject_cmd.csv)
+  message(FATAL_ERROR "dispatch_e2e: a refused injection still produced a CSV")
+endif()
 
 # Socket transport: workers are launched locally and dial back over localhost TCP.
 # Clean run, then a kill schedule; stderr goes to logs/ for CI artifacts.
@@ -113,6 +135,18 @@ run_step_logged(socket_fail ${SWEEP_DISPATCH} --spec=spec.txt --workers=2
                 --transport=socket --worker-bin=${SWEEP_SHARD} --worker-threads=2
                 --inject-fail=0:1 --out=dispatched_socket_fail.csv -v)
 compare_files(mono.csv dispatched_socket_fail.csv)
+
+# Binaries in a directory whose path holds a space: the socket transport renders
+# the built-in worker argv as one shell line, which must quote each argument.  The
+# copied sweep_dispatch finds the copied sweep_shard by its default location.
+set(spaced_dir "${WORK_DIR}/bin dir")
+file(MAKE_DIRECTORY "${spaced_dir}")
+file(COPY ${SWEEP_SHARD} ${SWEEP_DISPATCH} DESTINATION "${spaced_dir}")
+get_filename_component(dispatch_name ${SWEEP_DISPATCH} NAME)
+run_step_logged(socket_spaced_path "${spaced_dir}/${dispatch_name}" --spec=spec.txt
+                --workers=2 --transport=socket --worker-threads=2
+                --out=dispatched_socket_spaced.csv -v)
+compare_files(mono.csv dispatched_socket_spaced.csv)
 
 # Lease pipelining: each worker's next lease is granted while the current one
 # drains.  Clean run plus a kill schedule (a dead worker's undelivered prefetch
@@ -130,33 +164,24 @@ compare_files(mono.csv dispatched_pipe_fail.csv)
 # is killed (--crash-after exits nonzero) partway in; the rerun preseeds the
 # surviving checkpoint, re-leases only unfinished units, and must still produce the
 # monolithic bytes.  Both runs keep their -v stderr in logs/ for CI artifacts.
-function(run_step_expect_crash name)
-  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY ${WORK_DIR} RESULT_VARIABLE rc
-                  ERROR_FILE ${WORK_DIR}/logs/${name}.log)
-  if(rc EQUAL 0)
-    message(FATAL_ERROR "dispatch_e2e: step '${name}' was injected a crash but "
-                        "exited 0 — the kill never happened")
-  endif()
-endfunction()
-
 foreach(transport inprocess subprocess socket)
   set(resume_flags --spec=spec.txt --workers=2 --transport=${transport}
       --worker-bin=${SWEEP_SHARD} --worker-threads=2
       --checkpoint-dir=ckpt_${transport} --checkpoint-every=2)
-  run_step_expect_crash(resume_${transport}_crash ${SWEEP_DISPATCH} ${resume_flags}
-                        --crash-after=4 --out=dispatched_resume_${transport}.csv -v)
+  run_step_expect_failure(resume_${transport}_crash ${SWEEP_DISPATCH} ${resume_flags}
+                          --crash-after=4 --out=dispatched_resume_${transport}.csv -v)
   run_step_logged(resume_${transport} ${SWEEP_DISPATCH} ${resume_flags}
                   --out=dispatched_resume_${transport}.csv -v)
   compare_files(mono.csv dispatched_resume_${transport}.csv)
 endforeach()
 
-# Command transport (injection flags unsupported there, but --crash-after is
+# Worker command template (injection flags are refused there, but --crash-after is
 # dispatcher-side): same kill-then-resume cycle.
-set(resume_cmd_flags --spec=spec.txt --workers=2 --transport=command
+set(resume_cmd_flags --spec=spec.txt --workers=2 --transport=subprocess
     "--worker-cmd=${SWEEP_SHARD} --worker --threads=2"
     --checkpoint-dir=ckpt_command --checkpoint-every=2)
-run_step_expect_crash(resume_command_crash ${SWEEP_DISPATCH} ${resume_cmd_flags}
-                      --crash-after=4 --out=dispatched_resume_command.csv -v)
+run_step_expect_failure(resume_command_crash ${SWEEP_DISPATCH} ${resume_cmd_flags}
+                        --crash-after=4 --out=dispatched_resume_command.csv -v)
 run_step_logged(resume_command ${SWEEP_DISPATCH} ${resume_cmd_flags}
                 --out=dispatched_resume_command.csv -v)
 compare_files(mono.csv dispatched_resume_command.csv)
@@ -165,9 +190,9 @@ compare_files(mono.csv dispatched_resume_command.csv)
 file(MAKE_DIRECTORY ${WORK_DIR}/ckpt_corrupt)
 file(WRITE ${WORK_DIR}/ckpt_corrupt/checkpoint.sweep
      "sweep-checkpoint v=1 plan=1 units=1\n")
-run_step_expect_crash(resume_corrupt ${SWEEP_DISPATCH} --spec=spec.txt --workers=2
-                      --transport=inprocess --checkpoint-dir=ckpt_corrupt
-                      --out=dispatched_corrupt.csv)
+run_step_expect_failure(resume_corrupt ${SWEEP_DISPATCH} --spec=spec.txt --workers=2
+                        --transport=inprocess --checkpoint-dir=ckpt_corrupt
+                        --out=dispatched_corrupt.csv)
 if(EXISTS ${WORK_DIR}/dispatched_corrupt.csv)
   message(FATAL_ERROR "dispatch_e2e: a corrupt checkpoint still produced a CSV")
 endif()

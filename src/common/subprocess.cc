@@ -123,6 +123,10 @@ void Child::Kill() {
   if (!reaped_ && pid_ > 0) {
     ::killpg(pid_, SIGKILL);  // the whole group: see Spawn
   }
+  // SIGKILL lands asynchronously and Wait reaps only the direct child, so a dying
+  // grandchild could still hold the stdin pipe's read end: close our end instead of
+  // relying on EPIPE.
+  io_.CloseWrite();
 }
 
 int Child::Wait() {

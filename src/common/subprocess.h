@@ -9,7 +9,7 @@
 // == API contract ==
 //
 // Spawning: `SpawnArgv` executes a program directly (no shell); `SpawnShell` runs a
-// command line under `/bin/sh -c`, which is how command-template transports reach
+// command line under `/bin/sh -c`, which is how worker command templates reach
 // remote machines.  Both return a Status instead of aborting — a missing binary is an
 // operator error, not a logic error.  Spawning installs a process-wide SIG_IGN for
 // SIGPIPE (once) so that writing to a dead child surfaces as an EPIPE Status, not a
@@ -29,8 +29,10 @@
 // whole group — so a forked grandchild (the shell's `sleep`, an ssh client) dies
 // with it instead of holding the pipes open.  The destructor closes the pipes, kills
 // a still-running child, and reaps it — a Child can never leak a zombie.  `Kill` +
-// `Wait` do the same explicitly when the caller wants the exit status.  None of the
-// methods are thread-safe; a Child belongs to one thread (the dispatcher event loop).
+// `Wait` do the same explicitly when the caller wants the exit status.  Kill also
+// closes the child's stdin, so a later write fails even while a dying grandchild
+// still holds the pipe.  None of the methods are thread-safe; a Child belongs to one
+// thread (the dispatcher event loop).
 #ifndef SRC_COMMON_SUBPROCESS_H_
 #define SRC_COMMON_SUBPROCESS_H_
 
@@ -72,8 +74,10 @@ class Child {
   // Next complete line from the child's stdout.  timeout_ms < 0 blocks, 0 polls.
   ReadStatus ReadLine(int timeout_ms, std::string* out);
 
-  // SIGKILLs the child's process group if the child is not yet reaped
-  // (idempotent; does not reap).
+  // SIGKILLs the child's process group if the child is not yet reaped and closes
+  // its stdin, so WriteLine fails from here on (idempotent; does not reap).  Output
+  // the child already wrote stays readable.  Kill alone is the stdin close: no
+  // CloseStdin call is needed before it.
   void Kill();
 
   // Reaps the child (blocking) and returns its raw waitpid status; -1 if already

@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -172,56 +173,28 @@ class InProcessChannel final : public WorkerChannel {
 };
 
 // ----------------------------------------------------------------------------------
-// Subprocess-backed channels (pipes or a TCP socket; both are net::LineChannel).
+// Process-backed channel: a worker child speaking the protocol on its stdin/stdout
+// pipes, or on the TCP socket it dialed back on (`conn_fd` >= 0; the child is then
+// kept only for kill/reap).
 
-class SubprocessChannel final : public WorkerChannel {
+class ProcessChannel final : public WorkerChannel {
  public:
-  explicit SubprocessChannel(std::unique_ptr<subprocess::Child> child)
-      : child_(std::move(child)) {}
+  explicit ProcessChannel(std::unique_ptr<subprocess::Child> child, int conn_fd = -1)
+      : child_(std::move(child)) {
+    if (conn_fd >= 0) {
+      socket_.emplace(conn_fd, conn_fd, /*owns_fds=*/true);
+    }
+  }
 
-  ~SubprocessChannel() override { Close(); }
+  ~ProcessChannel() override { Close(); }
 
   serde::Status Send(std::string_view line) override {
-    return child_->WriteLine(line);
+    return socket_ ? socket_->WriteLine(line) : child_->WriteLine(line);
   }
 
   ChannelRead Recv(int timeout_ms, std::string* line) override {
-    switch (child_->ReadLine(timeout_ms, line)) {
-      case subprocess::ReadStatus::kLine:
-        return ChannelRead::kLine;
-      case subprocess::ReadStatus::kTimeout:
-        return ChannelRead::kTimeout;
-      case subprocess::ReadStatus::kClosed:
-        break;
-    }
-    return ChannelRead::kClosed;
-  }
-
-  void Close() override {
-    if (child_ != nullptr) {
-      child_->CloseStdin();
-      child_->Kill();
-      child_->Wait();
-    }
-  }
-
- private:
-  std::unique_ptr<subprocess::Child> child_;
-};
-
-// A worker reached over TCP: the protocol flows on the socket, while the child
-// process handle is kept purely for kill/reap on Close.
-class SocketChannel final : public WorkerChannel {
- public:
-  SocketChannel(std::unique_ptr<subprocess::Child> child, int conn_fd)
-      : child_(std::move(child)), io_(conn_fd, conn_fd, /*owns_fds=*/true) {}
-
-  ~SocketChannel() override { Close(); }
-
-  serde::Status Send(std::string_view line) override { return io_.WriteLine(line); }
-
-  ChannelRead Recv(int timeout_ms, std::string* line) override {
-    switch (io_.ReadLine(timeout_ms, line)) {
+    switch (socket_ ? socket_->ReadLine(timeout_ms, line)
+                    : child_->ReadLine(timeout_ms, line)) {
       case net::ReadStatus::kLine:
         return ChannelRead::kLine;
       case net::ReadStatus::kTimeout:
@@ -233,17 +206,16 @@ class SocketChannel final : public WorkerChannel {
   }
 
   void Close() override {
-    io_.CloseWrite();  // half-close: the worker sees EOF and exits cleanly
-    if (child_ != nullptr) {
-      child_->CloseStdin();
-      child_->Kill();
-      child_->Wait();
+    if (socket_) {
+      socket_->CloseWrite();  // half-close: the worker sees EOF and exits cleanly
     }
+    child_->Kill();  // also closes the child's stdin
+    child_->Wait();
   }
 
  private:
   std::unique_ptr<subprocess::Child> child_;
-  net::LineChannel io_;
+  std::optional<net::LineChannel> socket_;
 };
 
 }  // namespace
@@ -300,24 +272,7 @@ serde::Status SubprocessTransport::Launch(int worker_index,
   if (!s) {
     return s;
   }
-  *out = std::make_unique<SubprocessChannel>(std::move(child));
-  return serde::Ok();
-}
-
-CommandTransport::CommandTransport(std::function<std::string(int)> command_for_worker)
-    : command_for_worker_(std::move(command_for_worker)) {
-  ALERT_CHECK(command_for_worker_ != nullptr);
-}
-
-serde::Status CommandTransport::Launch(int worker_index,
-                                       std::unique_ptr<WorkerChannel>* out) {
-  std::unique_ptr<subprocess::Child> child;
-  const serde::Status s =
-      subprocess::Child::SpawnShell(command_for_worker_(worker_index), &child);
-  if (!s) {
-    return s;
-  }
-  *out = std::make_unique<SubprocessChannel>(std::move(child));
+  *out = std::make_unique<ProcessChannel>(std::move(child));
   return serde::Ok();
 }
 
@@ -356,7 +311,7 @@ serde::Status SocketTransport::Launch(int worker_index,
                            std::to_string(worker_index) + ")",
                        s);
   }
-  *out = std::make_unique<SocketChannel>(std::move(child), conn_fd);
+  *out = std::make_unique<ProcessChannel>(std::move(child), conn_fd);
   return serde::Ok();
 }
 
@@ -1043,9 +998,6 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     return finish(accumulator.Finalize(out));
   }
 
-  const bool pipeline = options.pipeline_leases &&
-                        options.lease_mode == LeaseMode::kPull;
-
   std::vector<std::unique_ptr<WorkerState>> workers;
   std::deque<int> retry_queue;  // unit ids awaiting re-grant (revokes, failures)
   // Fresh work is a cursor over the plan's enumeration order — never a materialized
@@ -1073,27 +1025,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     return false;
   };
 
-  // Static mode: the PR 4 baseline — whole LPT/round-robin shards as single leases.
-  std::deque<std::vector<int>> static_shards;
-  if (options.lease_mode == LeaseMode::kStatic) {
-    for (const std::vector<SweepUnit>& shard :
-         PartitionPlan(plan, options.num_workers, options.strategy)) {
-      std::vector<int> ids;
-      ids.reserve(shard.size());
-      for (const SweepUnit& unit : shard) {
-        if (!accumulator.IsRecorded(unit.id)) {  // skip preseeded units
-          ids.push_back(unit.id);
-        }
-      }
-      if (!ids.empty()) {
-        static_shards.push_back(std::move(ids));
-      }
-    }
-  }
   const auto pending_work_exists = [&] {
-    if (options.lease_mode == LeaseMode::kStatic) {
-      return !static_shards.empty() || retry_has_work();
-    }
     skip_fresh();
     return fresh_cursor < plan.units.size() || retry_has_work();
   };
@@ -1161,7 +1093,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     worker.channel->Close();
   };
 
-  // Builds the next pull-mode lease for `worker`: requeued work first (it is the
+  // Builds the next lease for `worker`: requeued work first (it is the
   // oldest and thus the likeliest tail of the critical path), then fresh plan-order
   // units.  Size is cost-fed *at this worker's own rate* — a slow machine gets a
   // proportionally shorter unit prefix for the same target_lease_ms, which is how
@@ -1223,38 +1155,10 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     return ids;
   };
 
-  const auto build_static_lease = [&](bool* is_retry) {
-    std::vector<int> ids;
-    if (!static_shards.empty()) {
-      ids = std::move(static_shards.front());
-      static_shards.pop_front();
-      ids.erase(std::remove_if(ids.begin(), ids.end(),
-                               [&](int id) { return accumulator.IsRecorded(id); }),
-                ids.end());
-    } else {
-      // Retries go out as one whole lease: static mode re-plans, it never rebalances.
-      while (!retry_queue.empty()) {
-        const int candidate = retry_queue.front();
-        retry_queue.pop_front();
-        if (!accumulator.IsRecorded(candidate) &&
-            in_flight[static_cast<size_t>(candidate)] == 0) {
-          ids.push_back(candidate);
-          *is_retry = true;
-        }
-      }
-    }
-    for (const int id : ids) {
-      in_flight[static_cast<size_t>(id)] = 1;
-    }
-    return ids;
-  };
-
   // Grants a lease to a requesting worker; false when no work is pending.
   const auto grant_lease = [&](WorkerState& worker) {
     bool is_retry = false;
-    std::vector<int> ids = options.lease_mode == LeaseMode::kStatic
-                               ? build_static_lease(&is_retry)
-                               : build_pull_lease(worker, &is_retry);
+    std::vector<int> ids = build_pull_lease(worker, &is_retry);
     if (ids.empty()) {
       return false;
     }
@@ -1323,8 +1227,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
   // look overloaded — predicted remainder well past the target, or silent since its
   // last result for twice the target.
   const auto try_steal = [&]() {
-    if (options.lease_mode != LeaseMode::kPull || !options.enable_steal ||
-        !model.seeded()) {
+    if (!options.enable_steal || !model.seeded()) {
       return false;
     }
     // Undelivered prefetches first: those units are pure inventory — no worker has
@@ -1518,15 +1421,12 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
   };
 
   // Initial fleet: workers pull their own work, so this only sizes the pool — at
-  // most one worker per pending unit (pull) or per non-empty shard (static), so a
-  // mostly-preseeded incremental re-run never spins up idle workers.
+  // most one worker per pending unit, so a mostly-preseeded incremental re-run
+  // never spins up idle workers.
   {
     const int remaining = static_cast<int>(accumulator.num_expected() -
                                            accumulator.num_recorded());
-    const int fleet =
-        options.lease_mode == LeaseMode::kStatic
-            ? std::min(options.num_workers, static_cast<int>(static_shards.size()))
-            : std::min(options.num_workers, remaining);
+    const int fleet = std::min(options.num_workers, remaining);
     for (int i = 0; i < fleet; ++i) {
       if (launch_worker() == nullptr) {
         break;
@@ -1644,7 +1544,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     // Prefetch pump (after the grant pump, so idle requesters are never starved by
     // inventory parked on busy peers): every working worker without an outstanding
     // prefetch gets its next lease queued behind the active one.
-    if (pipeline) {
+    if (options.pipeline_leases) {
       for (const auto& worker_ptr : workers) {
         WorkerState& worker = *worker_ptr;
         if (worker.mode != WorkerState::Mode::kWorking || worker.prefetch_seq >= 0) {

@@ -37,10 +37,6 @@
 // is order-independent and first-wins on redelivery; Finalize walks the plan in its
 // enumeration order).
 //
-// `lease_mode = kStatic` keeps the PR 4 behavior (whole LPT shards granted up front,
-// no stealing, no cost sizing) as a baseline — the pool's makespan win on skewed
-// plans is asserted against it in the dispatch stats tests.
-//
 // == Transports ==
 //
 // A `Transport` launches workers and yields `WorkerChannel`s (line-oriented, same
@@ -50,12 +46,11 @@
 //                         tests (die / go quiet after N results, duplicate delivery,
 //                         per-result delay to fake a slow machine, a first-lease
 //                         barrier that pins which workers get work);
-//   SubprocessTransport — one local child process per worker (sweep_shard --worker),
-//                         stdin/stdout pipes (src/common/subprocess.h);
-//   CommandTransport    — like SubprocessTransport but the command line is an
-//                         operator-supplied template run under /bin/sh — `ssh host
-//                         sweep_shard --worker` turns any reachable machine into a
-//                         worker with no shared filesystem;
+//   SubprocessTransport — one child process per worker, stdin/stdout pipes
+//                         (src/common/subprocess.h).  The argv is either
+//                         `sweep_shard --worker ...` or `/bin/sh -c TEMPLATE`, so
+//                         `ssh host sweep_shard --worker` turns any reachable
+//                         machine into a worker with no shared filesystem;
 //   SocketTransport     — real TCP: the dispatcher listens on 127.0.0.1, launches
 //                         each worker from a {port}-templated command line
 //                         (`sweep_shard --worker --connect=127.0.0.1:{port}`), and
@@ -205,8 +200,10 @@ class InProcessTransport : public Transport {
   int barrier_arrivals_ = 0;
 };
 
-// Workers as local child processes; `argv_for_worker` builds each launch's argument
-// vector (typically `{"./sweep_shard", "--worker", ...}` plus injection flags).
+// Workers as child processes; `argv_for_worker` builds each launch's argument
+// vector (typically `{"./sweep_shard", "--worker", ...}` plus injection flags, or
+// `{"/bin/sh", "-c", command}` for a command that must speak the worker protocol on
+// its stdin/stdout, e.g. an ssh invocation ending in `sweep_shard --worker`).
 class SubprocessTransport : public Transport {
  public:
   explicit SubprocessTransport(
@@ -215,18 +212,6 @@ class SubprocessTransport : public Transport {
 
  private:
   std::function<std::vector<std::string>(int)> argv_for_worker_;
-};
-
-// Workers behind an arbitrary `/bin/sh -c` command line (ssh, container exec, …);
-// `command_for_worker` renders the full command for a launch index.  The command must
-// speak the worker protocol on its stdin/stdout (i.e. end in `sweep_shard --worker`).
-class CommandTransport : public Transport {
- public:
-  explicit CommandTransport(std::function<std::string(int worker_index)> command_for_worker);
-  serde::Status Launch(int worker_index, std::unique_ptr<WorkerChannel>* out) override;
-
- private:
-  std::function<std::string(int)> command_for_worker_;
 };
 
 // Workers over localhost TCP: Launch listens on 127.0.0.1 (one listener, ephemeral
@@ -312,18 +297,10 @@ int EffectiveLeaseDeadlineMs(int flat_deadline_ms, double cost_factor,
 bool PullLeaseWantsMore(int units_taken, int max_units, int cold_cap, bool rate_known,
                         double predicted_ms, int target_ms);
 
-// Grant policy: pull (cost-fed small leases + stealing) or static (the PR 4
-// baseline: whole LPT shards granted once, no stealing, no cost sizing).
-enum class LeaseMode : int { kPull = 0, kStatic = 1 };
-
 struct DispatchOptions {
   int num_workers = 2;
-  // Partition strategy for lease_mode == kStatic (and for nothing else: pull-mode
-  // leases are plan-order prefixes, sized by the cost model).
-  ShardStrategy strategy = ShardStrategy::kRoundRobin;
-  LeaseMode lease_mode = LeaseMode::kPull;
 
-  // Pull-mode lease sizing: take pending units until their predicted time reaches
+  // Lease sizing: take pending units until their predicted time reaches
   // target_lease_ms, capped at max_lease_units; while the cost model is unseeded,
   // leases stay small (warm-up).  target_lease_ms trades scheduling overhead
   // against tail latency — smaller leases steal/rebalance faster but chat more.
@@ -338,9 +315,9 @@ struct DispatchOptions {
   // deadlines are already scaled; 0 = learn from scratch.  Tests use this to make
   // deadline behavior deterministic.
   double initial_cost_rate_ms = 0.0;
-  // Steal leases for idle workers when nothing is pending (pull mode only).
+  // Steal leases for idle workers when nothing is pending.
   bool enable_steal = true;
-  // Lease-grant pipelining (pull mode only): while a worker drains lease N, the
+  // Lease-grant pipelining: while a worker drains lease N, the
   // dispatcher sends lease N+1 (one outstanding prefetch per worker), so the worker
   // promotes the prefetched lease the instant N finishes instead of paying a
   // request/grant round trip — on an ssh-style transport that round trip is pure

@@ -1,8 +1,8 @@
 // Dispatcher correctness under failure: the merged aggregate must be byte-identical
-// to the monolithic sweep for any worker count, lease mode, kill schedule, silent
-// straggler, lease revocation, steal order, or duplicate delivery — and a completed
-// unit id must never be re-leased.  Also covers the cost model and cost-scaled
-// straggler deadline, the pull pool's makespan win over static shards on a skewed
+// to the monolithic sweep for any worker count, kill schedule, silent straggler,
+// lease revocation, steal order, or duplicate delivery — and a completed unit id
+// must never be re-leased.  Also covers the cost model and cost-scaled straggler
+// deadline, the pull pool's makespan against the static-shard bound on a skewed
 // fleet, the incremental merge accumulator, and the warm-start (never re-profile)
 // snapshot path the dispatcher ships to workers.
 #include "src/harness/dispatch.h"
@@ -191,31 +191,22 @@ TEST_F(DispatchTest, WarmStartedExperimentReproducesTheSnapshotExactly) {
 
 TEST_F(DispatchTest, InProcessDispatchMatchesMonolithicForAnyWorkerCount) {
   for (const int workers : {1, 2, 5}) {
-    for (const LeaseMode mode : {LeaseMode::kPull, LeaseMode::kStatic}) {
-      for (const ShardStrategy strategy :
-           {ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted}) {
-        // Without the barrier, fast workers can drain the 18-unit plan before a slow
-        // starter sends its first lease-request, and the lease count below would
-        // measure thread timing instead of the pool.
-        InProcessTransport::Options in_options;
-        in_options.first_lease_barrier = workers;
-        InProcessTransport transport(in_options);
-        DispatchOptions options;
-        options.num_workers = workers;
-        options.lease_mode = mode;
-        options.strategy = strategy;
-        std::string csv;
-        DispatchStats stats;
-        const serde::Status s = Dispatch(transport, options, &csv, &stats);
-        ASSERT_TRUE(s.ok) << s.message;
-        EXPECT_EQ(csv, *monolithic_csv_)
-            << "workers=" << workers << " mode=" << static_cast<int>(mode)
-            << " strategy=" << ShardStrategyName(strategy);
-        EXPECT_EQ(stats.workers_launched, workers);
-        EXPECT_EQ(stats.worker_failures, 0);
-        EXPECT_GE(stats.leases_granted, mode == LeaseMode::kPull ? workers : 1);
-      }
-    }
+    // Without the barrier, fast workers can drain the 18-unit plan before a slow
+    // starter sends its first lease-request, and the lease count below would
+    // measure thread timing instead of the pool.
+    InProcessTransport::Options in_options;
+    in_options.first_lease_barrier = workers;
+    InProcessTransport transport(in_options);
+    DispatchOptions options;
+    options.num_workers = workers;
+    std::string csv;
+    DispatchStats stats;
+    const serde::Status s = Dispatch(transport, options, &csv, &stats);
+    ASSERT_TRUE(s.ok) << s.message;
+    EXPECT_EQ(csv, *monolithic_csv_) << "workers=" << workers;
+    EXPECT_EQ(stats.workers_launched, workers);
+    EXPECT_EQ(stats.worker_failures, 0);
+    EXPECT_GE(stats.leases_granted, workers);
   }
 }
 
@@ -479,37 +470,40 @@ TEST(EffectiveLeaseDeadlineTest, StretchesForLongUnitsAndFallsBackToFlat) {
 
 TEST_F(DispatchTest, PullLeasesBeatStaticShardsOnASkewedFleet) {
   // Worker 0 simulates a machine ~an order of magnitude slower than worker 1.
-  // Static LPT cannot know that — it splits cost evenly and the slow worker grinds
-  // through half the plan.  The pull pool only ever exposes the slow worker to
-  // small leases, and the fast worker drains the rest.  This is the tentpole's
-  // makespan claim, asserted with a wide margin so CI noise cannot flake it.
+  // Static LPT cannot know that: it splits cost evenly, and whichever shard the slow
+  // worker holds, it sleeps kDelayMs through every unit of it.  So the LPT
+  // baseline's makespan is at least kDelayMs x the smaller shard's unit count — a
+  // bound computed from the plan alone, which no machine load can shrink.  The pull
+  // pool only ever exposes the slow worker to small leases, and the fast worker
+  // drains the rest.
   constexpr int kDelayMs = 80;
-  const auto run = [&](LeaseMode mode, DispatchStats* stats) {
-    InProcessTransport::Options in_options;
-    in_options.delay_per_result = {{0, kDelayMs}};
-    InProcessTransport transport(in_options);
-    DispatchOptions options;
-    options.num_workers = 2;
-    options.lease_mode = mode;
-    options.strategy = ShardStrategy::kCostWeighted;  // static = the LPT baseline
-    std::string csv;
-    const serde::Status s = Dispatch(transport, options, &csv, stats);
-    ASSERT_TRUE(s.ok) << s.message;
-    EXPECT_EQ(csv, *monolithic_csv_);
+  const std::vector<std::vector<SweepUnit>> lpt =
+      PartitionPlan(*plan_, 2, ShardStrategy::kCostWeighted);
+  ASSERT_EQ(lpt.size(), 2u);
+  const size_t smaller_shard = std::min(lpt[0].size(), lpt[1].size());
+  const double lpt_makespan_floor_ms = kDelayMs * static_cast<double>(smaller_shard);
+
+  InProcessTransport::Options in_options;
+  in_options.delay_per_result = {{0, kDelayMs}};
+  InProcessTransport transport(in_options);
+  DispatchOptions options;
+  options.num_workers = 2;
+  size_t slow_worker_units = 0;
+  options.on_result = [&](int worker, const SweepUnitResult&, bool newly) {
+    if (worker == 0 && newly) {
+      ++slow_worker_units;
+    }
   };
-  DispatchStats pull;
-  DispatchStats lpt;
-  run(LeaseMode::kPull, &pull);
-  run(LeaseMode::kStatic, &lpt);
-  // Static: the slow worker sleeps through ~half the plan's cost (>= 8 units x
-  // 80 ms).  Pull: it only ever holds its small warm-up lease(s).  The margin was
-  // 0.75 when lease sizing used one fleet-wide rate; per-worker rates keep the slow
-  // machine's leases proportionally smaller, so the bound tightens.
-  EXPECT_LT(pull.elapsed_ms, 0.65 * lpt.elapsed_ms)
-      << "pull pool did not beat static LPT on a skewed fleet";
-  EXPECT_GT(pull.leases_granted, lpt.leases_granted);
-  EXPECT_EQ(pull.worker_failures, 0);
-  EXPECT_EQ(lpt.worker_failures, 0);
+  std::vector<CellResult> cells;
+  DispatchStats stats;
+  const serde::Status s = DispatchSweep(*plan_, transport, options, &cells, &stats);
+  ASSERT_TRUE(s.ok) << s.message;
+  EXPECT_EQ(SweepAggregateCsv(*plan_, cells), *monolithic_csv_);
+  EXPECT_EQ(stats.worker_failures, 0);
+  EXPECT_LT(slow_worker_units * 2, smaller_shard)
+      << "the slow worker ran half a static shard or more";
+  EXPECT_LT(stats.elapsed_ms, 0.65 * lpt_makespan_floor_ms)
+      << "pull pool did not finish well inside the static LPT makespan floor";
 }
 
 TEST_F(DispatchTest, PerWorkerRatesTrackEachMachineOnAHeterogeneousFleet) {
@@ -661,7 +655,6 @@ TEST_F(DispatchTest, RandomizedScheduleMatrixMergesByteIdenticallyForAllK) {
       InProcessTransport transport(in_options);
       DispatchOptions options;
       options.num_workers = workers;
-      options.lease_mode = LeaseMode::kPull;
       options.enable_steal = true;
       options.target_lease_ms = 25;  // small leases: lots of grants and steals
       options.straggler_deadline_ms = 250;

@@ -13,13 +13,14 @@
 //
 // Transports:
 //   --transport=inprocess   worker threads inside this process (no binaries needed);
-//   --transport=subprocess  one local `sweep_shard --worker` child per worker
-//                           (--worker-bin overrides the binary path);
-//   --transport=command     an arbitrary shell command per worker, `{worker}`
-//                           replaced by the launch index — e.g.
+//   --transport=subprocess  one `sweep_shard --worker` child per worker, talking over
+//                           its stdin/stdout (--worker-bin overrides the binary
+//                           path); --worker-cmd replaces that argv with a shell
+//                           command, `{worker}` replaced by the launch index — e.g.
 //                           --worker-cmd='ssh host-{worker} /opt/alert/sweep_shard --worker'
-//   --transport=socket      localhost TCP: each worker is launched from --worker-cmd
-//                           with `{port}` expanded and dials back with --connect
+//   --transport=socket      localhost TCP: each worker is launched like a subprocess
+//                           worker (--worker-cmd with `{port}` expanded, or the
+//                           built-in argv) and dials back with --connect
 //
 // A full walkthrough (including the failure-injection flags used by CI) lives in
 // docs/DISTRIBUTED.md.
@@ -48,27 +49,25 @@ namespace {
       "usage: %s --spec=FILE --workers=K [options]\n"
       "  --spec=FILE            sweep spec (sweep_shard --write-default-spec writes one)\n"
       "  --workers=K            number of workers in the initial wave\n"
-      "  --transport=inprocess|subprocess|command|socket   (default subprocess)\n"
+      "  --transport=inprocess|subprocess|socket   (default subprocess)\n"
       "  --worker-bin=PATH      sweep_shard binary for the subprocess and socket\n"
       "                         transports (default: sweep_shard next to this binary)\n"
-      "  --worker-cmd=TEMPLATE  shell command per worker for the command and socket\n"
-      "                         transports; {worker} expands to the launch index and\n"
-      "                         {port} (socket) to the dispatcher's TCP port\n"
-      "  --static-leases        grant whole static shards once (the pre-pull\n"
-      "                         baseline): no stealing, no cost-fed sizing\n"
-      "  --strategy=round-robin|cost-weighted   static-lease partition (default\n"
-      "                         round-robin; pull leases are plan-order prefixes)\n"
-      "  --target-lease-ms=N    pull mode: size each lease to ~N ms of predicted\n"
-      "                         work (default 1000)\n"
-      "  --max-lease-units=N    pull mode: cap on units per lease (default 64); a\n"
+      "  --worker-cmd=TEMPLATE  shell command per worker for the subprocess and socket\n"
+      "                         transports, run under /bin/sh -c instead of the\n"
+      "                         built-in sweep_shard argv; {worker} expands to the\n"
+      "                         launch index and {port} (socket) to the dispatcher's\n"
+      "                         TCP port.  Cannot be combined with --inject-*\n"
+      "  --target-lease-ms=N    size each lease to ~N ms of predicted work\n"
+      "                         (default 1000)\n"
+      "  --max-lease-units=N    cap on units per lease (default 64); a\n"
       "                         warm lease that reaches a limit mid replay row\n"
       "                         takes the rest of the row\n"
       "  --initial-cost-rate=R  seed the cost model at R ms per cost point instead\n"
       "                         of learning from the first results (default 0 = learn)\n"
       "  --no-steal             disable lease stealing for idle workers\n"
-      "  --pipeline-leases      pull mode: send each worker its next lease while the\n"
-      "                         current one drains (hides the request/grant round\n"
-      "                         trip on ssh-style transports)\n"
+      "  --pipeline-leases      send each worker its next lease while the current\n"
+      "                         one drains (hides the request/grant round trip on\n"
+      "                         ssh-style transports)\n"
       "  --checkpoint-dir=DIR   periodically checkpoint merged results to\n"
       "                         DIR/checkpoint.sweep (atomic rename); on startup an\n"
       "                         existing checkpoint for this plan is preseeded, so a\n"
@@ -154,6 +153,21 @@ std::string ExpandWorkerTemplate(const std::string& text, int worker_index) {
   return out;
 }
 
+// POSIX single-quoting: the shell passes `arg` through byte for byte (spaces, quotes
+// and all).
+std::string ShellQuote(const std::string& arg) {
+  std::string out = "'";
+  for (const char c : arg) {
+    if (c == '\'') {
+      out += "'\\''";
+    } else {
+      out.push_back(c);
+    }
+  }
+  out.push_back('\'');
+  return out;
+}
+
 std::string DefaultWorkerBin(const char* argv0) {
   const std::string self(argv0);
   const size_t slash = self.rfind('/');
@@ -199,15 +213,8 @@ int main(int argc, char** argv) {
       worker_bin = *v;
     } else if (auto v = ArgValue(arg, "--worker-cmd")) {
       worker_cmd = *v;
-    } else if (auto v = ArgValue(arg, "--strategy")) {
-      const serde::Status s = ParseShardStrategy(*v, &options.strategy);
-      if (!s) {
-        Fail(s.message);
-      }
     } else if (auto v = ArgValue(arg, "--worker-threads")) {
       worker_threads = ParseIntOrDie(*v, "--worker-threads");
-    } else if (std::strcmp(arg, "--static-leases") == 0) {
-      options.lease_mode = LeaseMode::kStatic;
     } else if (auto v = ArgValue(arg, "--target-lease-ms")) {
       options.target_lease_ms = ParseIntOrDie(*v, "--target-lease-ms");
     } else if (auto v = ArgValue(arg, "--max-lease-units")) {
@@ -269,6 +276,13 @@ int main(int argc, char** argv) {
   if (spec_path.empty() || options.num_workers <= 0 || (out_path.empty() && !print)) {
     Usage(argv[0]);
   }
+  // A --worker-cmd template renders its own worker flags: injection flags would
+  // never reach a process worker.
+  if (!worker_cmd.empty() && transport_name != "inprocess" &&
+      (!inject_fail.empty() || !inject_hang.empty() || !inject_dup.empty() ||
+       !inject_delay.empty())) {
+    Fail("--inject-* flags cannot be combined with --worker-cmd");
+  }
 
   std::string spec_text;
   serde::Status s = serde::ReadFile(spec_path, &spec_text);
@@ -329,10 +343,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Injection flags append worker-protocol testing flags to the matching launch
-  // index only; replacement workers (fresh indices) come up clean, which is what
-  // lets an injected failure converge instead of recurring forever.
-  const auto worker_argv = [&](int worker_index) {
+  // A --worker-cmd template runs under the shell.  Otherwise injection flags append
+  // worker-protocol testing flags to the matching launch index only; replacement
+  // workers (fresh indices) come up clean, which is what lets an injected failure
+  // converge instead of recurring forever.
+  const auto worker_argv = [&](int worker_index) -> std::vector<std::string> {
+    if (!worker_cmd.empty()) {
+      return {"/bin/sh", "-c", ExpandWorkerTemplate(worker_cmd, worker_index)};
+    }
     std::vector<std::string> argvv = {worker_bin, "--worker",
                                       "--threads=" + std::to_string(worker_threads),
                                       "--heartbeat-ms=" + std::to_string(heartbeat_ms)};
@@ -350,22 +368,19 @@ int main(int argc, char** argv) {
     }
     return argvv;
   };
-  // The same launch rendered as one shell line (socket transport runs it under sh).
+  // The socket transport's launch as one shell line: the --worker-cmd template, or
+  // the built-in argv quoted piece by piece, dialing back to `port`.
   const auto worker_shell = [&](int worker_index, int port) {
-    std::string cmd;
     if (!worker_cmd.empty()) {
-      cmd = ExpandWorkerTemplate(worker_cmd, worker_index);
-    } else {
-      for (const std::string& piece : worker_argv(worker_index)) {
-        if (!cmd.empty()) {
-          cmd.push_back(' ');
-        }
-        cmd += piece;
-      }
-      cmd += " --connect=127.0.0.1:{port}";
+      std::string cmd = ExpandWorkerTemplate(worker_cmd, worker_index);
+      ExpandToken(&cmd, "{port}", std::to_string(port));
+      return cmd;
     }
-    ExpandToken(&cmd, "{port}", std::to_string(port));
-    return cmd;
+    std::string cmd;
+    for (const std::string& piece : worker_argv(worker_index)) {
+      cmd += ShellQuote(piece) + ' ';
+    }
+    return cmd + "--connect=127.0.0.1:" + std::to_string(port);
   };
 
   std::unique_ptr<Transport> transport;
@@ -384,18 +399,6 @@ int main(int argc, char** argv) {
     transport = std::make_unique<SocketTransport>(std::move(sock_options));
   } else if (transport_name == "subprocess") {
     transport = std::make_unique<SubprocessTransport>(worker_argv);
-  } else if (transport_name == "command") {
-    if (worker_cmd.empty()) {
-      Fail("--transport=command needs --worker-cmd");
-    }
-    if (!inject_fail.empty() || !inject_hang.empty() || !inject_dup.empty() ||
-        !inject_delay.empty()) {
-      Fail("injection flags are not supported with --transport=command");
-    }
-    transport = std::make_unique<CommandTransport>(
-        [worker_cmd](int worker_index) {
-          return ExpandWorkerTemplate(worker_cmd, worker_index);
-        });
   } else {
     Fail("unknown transport '" + transport_name + "'");
   }
