@@ -3,12 +3,10 @@
 // SelectBest baseline.
 //
 // The workload models the live scheduler: a belief random walk with per-step drift
-// magnitude D over the CPU1 image candidate space (110 configurations).  Exact mode
-// only hits when a belief repeats bit-exactly (the verification regime — it
-// essentially never happens under a live Kalman filter, which is why exact-mode hit
-// rates are ~0% for nonzero drift).  Bucketed mode hits whenever the walk stays
-// inside one (xi-mean, xi-sigma) bucket, so the hit rate — and the ns/decision win —
-// grows with bucket width and shrinks with drift rate.  One harness op = one full
+// magnitude D over the CPU1 image candidate space (110 configurations).  The cache
+// hits whenever the walk stays inside one (xi-mean, xi-sigma) bucket, so the hit
+// rate — and the ns/decision win — grows with bucket width and shrinks with drift
+// rate.  One harness op = one full
 // trajectory pass (kDecisions selections); warm cases pre-populate the cache, whose
 // replay of a pass is idempotent.  Derived ratios feed the perf-trajectory gate.
 #include <algorithm>
@@ -131,10 +129,6 @@ int Main(int argc, char** argv) {
     if (drift != 0.0) {
       uncached_drift002 = uncached;
     }
-
-    DecisionCachePolicy exact;
-    exact.mode = DecisionCacheMode::kExact;
-    RunCached(h, f, exact, trajectory, "warm_exact_pass_drift" + drift_tag);
 
     for (const double width : widths) {
       DecisionCachePolicy bucketed;

@@ -9,10 +9,14 @@
 #      by exactly its `jobs=` count of decision records (no partial rounds);
 #   4. repeat the kill while a second churn run is in flight (kill -TERM mid-run):
 #      the driver loses its connections, but the daemon's log must still drain
-#      cleanly with zero partial decision records.
+#      cleanly with zero partial decision records;
+#   5. drive a fresh daemon through the seed-13 K=8 script and require the live
+#      transcript to equal the committed golden file byte for byte;
+#   6. require a nonzero exit for flags the daemon must refuse (a NaN budget, a
+#      port beyond 65535, the retired --cache flag).
 # Daemon stderr and event logs land in ${WORK_DIR}/logs/ for CI artifact upload.
-# Invoked with -DALERTD=... -DCHURN_DRIVE=... -DWORK_DIR=...
-foreach(var ALERTD CHURN_DRIVE WORK_DIR)
+# Invoked with -DALERTD=... -DCHURN_DRIVE=... -DTESTDATA_DIR=... -DWORK_DIR=...
+foreach(var ALERTD CHURN_DRIVE TESTDATA_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "alertd_e2e: ${var} not defined")
   endif()
@@ -106,5 +110,28 @@ run_shell(reap_driver
   "pid=$(cat churn.pid); i=0; while kill -0 $pid 2>/dev/null; do i=$((i+1)); [ $i -gt 300 ] && { echo 'churn driver hung'; exit 1; }; sleep 0.1; done")
 run_shell(check_kill_log "awk -f check_log.awk events_kill.log && cp events_kill.log logs/events_kill.log")
 
-message(STATUS "alertd_e2e: live transcript byte-identical to offline replay; "
-               "graceful drain verified clean (including SIGTERM mid-run)")
+# --- 5: live drive against the committed golden transcript --------------------------
+
+start_daemon(alertd_golden.pid port_golden.txt events_golden.log alertd_golden.log)
+run_step(${CHURN_DRIVE} --mode=drive --port-file=port_golden.txt --seed=13 --tenants=8
+         --events=128 --budget=200 --out=live_golden.txt)
+stop_daemon(alertd_golden.pid)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${WORK_DIR}/live_golden.txt
+                ${TESTDATA_DIR}/churn_s13_k8_e128.golden RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "alertd_e2e: live_golden.txt differs from churn_s13_k8_e128.golden")
+endif()
+
+# --- 6: flags the daemon must refuse ---------------------------------------------
+
+foreach(bad_flag --budget=nan --budget=inf --port=70000 --port=abc --cache=exact)
+  execute_process(COMMAND ${ALERTD} ${bad_flag} WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET TIMEOUT 10)
+  if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "alertd_e2e: 'alertd ${bad_flag}' was not refused (result ${rc})")
+  endif()
+endforeach()
+
+message(STATUS "alertd_e2e: live transcript byte-identical to offline replay and to "
+               "the golden file; bad flags refused; graceful drain verified clean "
+               "(including SIGTERM mid-run)")

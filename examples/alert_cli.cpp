@@ -43,8 +43,8 @@ struct CliOptions {
   std::string trace_csv_path;
   bool compare_static = true;
   // Decision memoization for the ALERT-family schemes (src/core/decision_cache.h).
-  // Off reproduces the historical decision path bit-for-bit; exact is the provably
-  // identical verification mode; bucketed trades a bounded score gap for hit rate.
+  // Off reproduces the historical decision path bit-for-bit; bucketed trades a
+  // bounded score gap for hit rate.
   DecisionCachePolicy decision_cache;
 };
 
@@ -65,11 +65,10 @@ struct CliOptions {
       "  --csv=PATH                     dump per-input records\n"
       "  --trace-csv=PATH               dump the environment trace\n"
       "  --no-static                    skip the OracleStatic comparison\n"
-      "  --decision-cache=off|exact|bucketed[:W]\n"
+      "  --decision-cache=off|bucketed[:W]\n"
       "                                 memoize ALERT decisions (default off).\n"
-      "                                 exact: bit-identical, hits only on exact\n"
-      "                                 belief repeats; bucketed: quantize the xi\n"
-      "                                 belief to width W (default 0.01) buckets\n",
+      "                                 bucketed: quantize the xi belief to\n"
+      "                                 width W (default 0.01) buckets\n",
       argv0);
   std::exit(2);
 }
@@ -144,8 +143,6 @@ CliOptions Parse(int argc, char** argv) {
     } else if (const auto v8 = ArgValue(arg, "--decision-cache")) {
       if (*v8 == "off") {
         o.decision_cache.mode = DecisionCacheMode::kOff;
-      } else if (*v8 == "exact") {
-        o.decision_cache.mode = DecisionCacheMode::kExact;
       } else if (*v8 == "bucketed" || v8->rfind("bucketed:", 0) == 0) {
         o.decision_cache.mode = DecisionCacheMode::kBucketed;
         double width = 0.01;

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <string>
 
 namespace alert::net {
 namespace {
@@ -175,7 +176,10 @@ void LineChannel::CloseWrite() {
   write_fd_ = -1;
 }
 
-serde::Status ListenLocalhost(int* listen_fd, int* out_port) {
+serde::Status ListenLocalhost(int port, int* listen_fd, int* out_port) {
+  if (port < 0 || port > 65535) {
+    return serde::Error("port " + std::to_string(port) + " is outside 0-65535");
+  }
   EnsureSigpipeIgnored();
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -187,9 +191,9 @@ serde::Status ListenLocalhost(int* listen_fd, int* out_port) {
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral: the OS picks, we report
+  addr.sin_port = htons(static_cast<uint16_t>(port));  // 0: the OS picks, we report
   if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const serde::Status s = ErrnoError("bind 127.0.0.1");
+    const serde::Status s = ErrnoError("bind 127.0.0.1:" + std::to_string(port));
     ::close(fd);
     return s;
   }

@@ -88,9 +88,10 @@ class LineChannel {
   size_t scan_pos_ = 0;  // buffer_ prefix already known to contain no '\n'
 };
 
-// Binds and listens on 127.0.0.1 with an ephemeral port; fills the fd and the
-// chosen port.  The listener is blocking; pair with AcceptWithTimeout.
-serde::Status ListenLocalhost(int* listen_fd, int* out_port);
+// Binds and listens on 127.0.0.1:port (0 = an ephemeral port the OS picks); fills
+// the fd and the bound port.  Fails if another socket already listens on `port`.
+// The listener is blocking; pair with AcceptWithTimeout.
+serde::Status ListenLocalhost(int port, int* listen_fd, int* out_port);
 
 // Accepts one connection, waiting up to timeout_ms (deadline-correct, as above).
 // The returned socket has TCP_NODELAY set (see the latency contract).

@@ -149,8 +149,9 @@ SchedulingDecision AlertScheduler::Decide(const InferenceRequest& request) {
   if (cache_ == nullptr) {
     return DecideFromSnapshot(Snapshot(request), power_limit_, scratch_);
   }
-  // Memoized path: in exact mode a hit replays a selection the engine computed for
-  // bit-identical (snapshot, limit), so the decision is identical to the line above.
+  // Memoized path: with every step 0 a hit replays a selection the engine computed
+  // for bit-identical (snapshot, limit), so the decision is identical to the line
+  // above; nonzero steps may return a nearby snapshot's selection.
   const DecisionSnapshot snapshot = Snapshot(request);
   const DecisionEngine::Selection selection = cache_->Select(
       snapshot.goals, snapshot.allowance, snapshot.inputs, power_limit_, scratch_);

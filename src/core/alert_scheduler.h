@@ -60,9 +60,10 @@ struct AlertOptions {
   AdaptiveKalmanParams kalman;
   IdlePowerFilterParams idle_filter;
   // Decision memoization (src/core/decision_cache.h).  Off by default — the decision
-  // path is then the exact historical code; exact mode is provably bit-identical and
-  // bucketed mode trades a bounded score gap for hit rate.  The cache is invalidated
-  // on set_goals and dies with the scheduler (and therefore with its engine/profile).
+  // path is then the exact historical code; all-zero steps are provably bit-identical
+  // and nonzero steps trade a bounded score gap for hit rate.  The cache is
+  // invalidated on set_goals and dies with the scheduler (and therefore with its
+  // engine/profile).
   DecisionCachePolicy decision_cache;
   // Display name override (e.g. "ALERT-Any").
   std::string name = "ALERT";

@@ -9,12 +9,13 @@ namespace alert {
 namespace {
 
 // Exact keying: the value's bit pattern (distinguishes -0.0 from 0.0, which is the
-// right call — bit-identical inputs are the exact-mode contract).
+// right call — bit-identical inputs are the zero-step contract).
 uint64_t ExactBits(double value) { return std::bit_cast<uint64_t>(value); }
 
-// Bucketed keying: the bucket ordinal as a double's bit pattern.  Values whose
-// quotient cannot be represented as an integral double (infinite power limits,
-// absurdly small steps) fall back to exact bits rather than colliding in one bucket.
+// Bucketed keying: the bucket ordinal as a double's bit pattern; a step <= 0 keys
+// exactly.  Values whose quotient cannot be represented as an integral double
+// (infinite power limits, absurdly small steps) fall back to exact bits rather than
+// colliding in one bucket.
 uint64_t QuantizedBits(double value, double step) {
   if (step <= 0.0) {
     return ExactBits(value);
@@ -66,20 +67,16 @@ DecisionCache::DecisionCache(const DecisionEngine& engine,
 DecisionCache::Key DecisionCache::MakeKey(const Goals& goals, Joules allowance,
                                           const DecisionInputs& in,
                                           Watts power_limit) const {
-  const bool bucketed = policy_.mode == DecisionCacheMode::kBucketed;
-  const auto field = [bucketed](double value, double step) {
-    return bucketed ? QuantizedBits(value, step) : ExactBits(value);
-  };
   Key key;
-  key.xi_mean = field(in.xi.mean, policy_.xi_mean_step);
-  key.xi_stddev = field(in.xi.stddev, policy_.xi_stddev_step);
-  key.deadline = field(in.deadline, policy_.deadline_step);
-  key.period = field(in.period, policy_.deadline_step);
+  key.xi_mean = QuantizedBits(in.xi.mean, policy_.xi_mean_step);
+  key.xi_stddev = QuantizedBits(in.xi.stddev, policy_.xi_stddev_step);
+  key.deadline = QuantizedBits(in.deadline, policy_.deadline_step);
+  key.period = QuantizedBits(in.period, policy_.deadline_step);
   key.idle_ratio = ExactBits(in.idle_ratio);
   key.fixed_idle_power = ExactBits(in.fixed_idle_power);
   key.percentile = ExactBits(in.percentile);
-  key.allowance = field(allowance, policy_.allowance_step);
-  key.power_limit = field(power_limit, policy_.power_limit_step);
+  key.allowance = QuantizedBits(allowance, policy_.allowance_step);
+  key.power_limit = QuantizedBits(power_limit, policy_.power_limit_step);
   key.accuracy_goal = ExactBits(goals.accuracy_goal);
   key.energy_budget = ExactBits(goals.energy_budget);
   key.prob_threshold = ExactBits(goals.prob_threshold);
@@ -120,8 +117,8 @@ void DecisionCache::Insert(const Goals& goals, Joules allowance,
   const Key key = MakeKey(goals, allowance, in, power_limit);
   const auto it = map_.find(key);
   if (it != map_.end()) {
-    // Same bucket, fresher selection (bucketed mode only — exact-mode recomputation
-    // is deterministic, so overwriting is a no-op there).
+    // Same bucket, fresher selection (with zero steps recomputation is deterministic,
+    // so overwriting is a no-op).
     it->second->second = selection;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
@@ -152,33 +149,6 @@ void DecisionCache::Invalidate() {
   stats_.stale += map_.size();
   map_.clear();
   lru_.clear();
-}
-
-size_t DecisionCache::InvalidateGoals(const Goals& goals) {
-  // Goal fields are keyed exactly in both modes (MakeKey never buckets them), so the
-  // match below is the same predicate the key equality uses.  DecisionInputs mirrors
-  // prob_threshold into the percentile field (AlertScheduler::MakeInputs), so it is
-  // matched as part of the goal identity too.
-  const uint64_t accuracy_goal = ExactBits(goals.accuracy_goal);
-  const uint64_t energy_budget = ExactBits(goals.energy_budget);
-  const uint64_t prob_threshold = ExactBits(goals.prob_threshold);
-  const uint64_t percentile = ExactBits(goals.prob_threshold);
-  const int32_t mode = static_cast<int32_t>(goals.mode);
-  size_t dropped = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    const Key& key = it->first;
-    if (key.mode == mode && key.accuracy_goal == accuracy_goal &&
-        key.energy_budget == energy_budget && key.prob_threshold == prob_threshold &&
-        key.percentile == percentile) {
-      map_.erase(key);
-      it = lru_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  stats_.stale += dropped;
-  return dropped;
 }
 
 }  // namespace alert

@@ -2,35 +2,35 @@
 //
 // ALERT re-scores the full (candidate x power-cap) grid on every input, but the xi
 // belief drifts slowly between frames — consecutive decisions usually see inputs that
-// are identical (converged belief, fixed deadline) or nearly so.  This cache sits
-// between a decision-maker (AlertScheduler::Decide, MultiJobCoordinator's allocation
-// passes) and the engine: it maps a *key* derived from everything a selection depends
-// on — the DecisionInputs snapshot, the goals, the energy allowance, and the power
-// limit — to the Selection the engine computed for it, bounded by an LRU capacity.
+// are nearly identical.  This cache sits between AlertScheduler::Decide and the
+// engine: it maps a *key* derived from everything a selection depends on — the
+// DecisionInputs snapshot, the goals, the energy allowance, and the power limit — to
+// the Selection the engine computed for it, bounded by an LRU capacity.
 //
 // == Modes and the correctness contract ==
 //
 //   kOff      — never constructed by callers; the policy's `enabled()` gates all
 //               wiring, so the default is the exact historical code path.
-//   kExact    — keys are the exact bit patterns of every field.  A hit can only occur
-//               for inputs bit-identical to a previous SelectBest call on the same
-//               engine, so cached decisions are *provably* identical to uncached ones
-//               (the cache-equivalence suite asserts this across schemes and drifts).
 //   kBucketed — the continuous fields (xi mean/stddev, deadline/period, allowance,
-//               power limit) are quantized to configurable step widths before keying.
-//               A hit returns the selection computed for a *nearby* snapshot: the
-//               decision may differ from the uncached one, but only between
-//               configurations whose score gap is bounded by the bucket width (the
-//               equivalence suite measures the objective gap under the true inputs).
+//               power limit) are quantized to per-field step widths before keying;
+//               every other field is keyed by its exact bit pattern.
+//
+// A policy whose steps are all 0 keys every field exactly: a hit can only occur for
+// inputs bit-identical to a previous SelectBest call on the same engine, so its
+// decisions are *provably* identical to uncached ones (the cache-equivalence suite
+// asserts this across goal modes, drifts and scheme variants).  Nonzero steps let a
+// hit return the selection computed for a *nearby* snapshot: the decision may differ
+// from the uncached one, but only between configurations whose score gap is bounded
+// by the bucket width (the suite measures the objective gap under the true inputs).
 //
 // == Invalidation contract ==
 //
 // The cache borrows its engine and is valid only while the engine's profile is: a new
-// profile means a new engine, which means constructing a new cache (AlertScheduler and
-// MultiJobCoordinator tie cache lifetime to engine lifetime).  Goal changes must call
-// `Invalidate()` — AlertScheduler::set_goals does — even though goal fields are part
-// of the key (the key guards correctness; invalidation keeps dead entries from
-// occupying LRU capacity).  Entries dropped this way are counted as `stale`.
+// profile means a new engine, which means constructing a new cache (AlertScheduler
+// ties cache lifetime to engine lifetime).  Goal changes must call `Invalidate()` —
+// AlertScheduler::set_goals does — even though goal fields are part of the key (the
+// key guards correctness; invalidation keeps dead entries from occupying LRU
+// capacity).  Entries dropped this way are counted as `stale`.
 //
 // Thread-safety: NOT thread-safe — Lookup/Insert mutate LRU state.  One cache per
 // decision-maker; any number of caches may share one const DecisionEngine (the scoring
@@ -50,21 +50,20 @@ namespace alert {
 
 enum class DecisionCacheMode : int {
   kOff = 0,
-  kExact = 1,
-  kBucketed = 2,
+  kBucketed = 1,
 };
 
 struct DecisionCachePolicy {
   DecisionCacheMode mode = DecisionCacheMode::kOff;
 
-  // Bucketed-mode quantization step widths; a step <= 0 keys that field exactly.
-  // Ignored in exact mode.  deadline_step also quantizes the period (the two move
-  // together in every workload the harness generates).
+  // Quantization step widths; a step <= 0 keys that field exactly.  deadline_step
+  // also quantizes the period (the two move together in every workload the harness
+  // generates).
   double xi_mean_step = 0.0;
   double xi_stddev_step = 0.0;
   double deadline_step = 0.0;
   double allowance_step = 0.0;    // paced budgets drift every input
-  double power_limit_step = 0.0;  // coordinator grants are continuous
+  double power_limit_step = 0.0;  // shared-budget grants are continuous
 
   // LRU bound (entries).  Must be > 0 when enabled (checked).
   size_t capacity = 4096;
@@ -99,8 +98,7 @@ class DecisionCache {
                                    const DecisionInputs& in, Watts power_limit,
                                    DecisionEngine::SelectScratch& scratch);
 
-  // The two halves of Select, for callers that compute selections themselves (the
-  // multi-job coordinator re-selects from precomputed score tables).
+  // The two halves of Select.
   bool Lookup(const Goals& goals, Joules allowance, const DecisionInputs& in,
               Watts power_limit, DecisionEngine::Selection* out);
   void Insert(const Goals& goals, Joules allowance, const DecisionInputs& in,
@@ -109,24 +107,14 @@ class DecisionCache {
   // Drops every entry (goal change / explicit reset); dropped entries count as stale.
   void Invalidate();
 
-  // Drops only the entries recorded under `goals` (matched on every goal-derived key
-  // field, including the Eq. 12 percentile that mirrors prob_threshold); returns the
-  // number dropped, counted as stale.  This is the per-tenant goal-reconfiguration
-  // path: in a cache shared by several tenants of one candidate family (the multi-job
-  // coordinator), one tenant's goal flip must not cold-start its neighbours — their
-  // entries are keyed under different goals and survive untouched.  Correctness never
-  // depends on this call (goals are part of every key); it only keeps dead old-goal
-  // entries from occupying LRU capacity.
-  size_t InvalidateGoals(const Goals& goals);
-
   const DecisionEngine& engine() const { return *engine_; }
   const DecisionCachePolicy& policy() const { return policy_; }
   const DecisionCacheStats& stats() const { return stats_; }
   size_t size() const { return map_.size(); }
 
  private:
-  // One selection key: quantized (or exact) bit patterns of every field a SelectBest
-  // result depends on.  Plain scalars so equality and hashing are trivial.
+  // One selection key: quantized (step > 0) or exact bit patterns of every field a
+  // SelectBest result depends on.  Plain scalars so equality and hashing are trivial.
   struct Key {
     uint64_t xi_mean = 0;
     uint64_t xi_stddev = 0;

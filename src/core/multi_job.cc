@@ -44,9 +44,6 @@ void MultiJobCoordinator::AddJob(JobSpec spec) {
     Family fam;
     fam.space = spec.space;
     fam.engine = std::make_shared<DecisionEngine>(*spec.space);
-    if (cache_policy_.enabled()) {
-      fam.cache = std::make_unique<DecisionCache>(*fam.engine, cache_policy_);
-    }
     families_.push_back(std::move(fam));
   }
 
@@ -59,7 +56,6 @@ void MultiJobCoordinator::AddJob(JobSpec spec) {
   job.slot = static_cast<int>(families_[family].jobs.size());
   families_[family].jobs.push_back(static_cast<int>(jobs_.size()));
   jobs_.push_back(std::move(job));
-  InvalidateCaches();
 }
 
 void MultiJobCoordinator::RemoveJob(int index) {
@@ -77,15 +73,6 @@ void MultiJobCoordinator::RemoveJob(int index) {
       if (j > index) {
         --j;
       }
-    }
-  }
-  InvalidateCaches();
-}
-
-void MultiJobCoordinator::InvalidateCaches() {
-  for (Family& family : families_) {
-    if (family.cache != nullptr) {
-      family.cache->Invalidate();
     }
   }
 }
@@ -113,39 +100,7 @@ void MultiJobCoordinator::set_total_power_budget(Watts budget) {
 void MultiJobCoordinator::SetJobGoals(int index, const Goals& goals) {
   ALERT_CHECK(index >= 0 && index < num_jobs());
   ALERT_CHECK(goals.Valid());
-  Job& job = jobs_[static_cast<size_t>(index)];
-  const Goals old_goals = job.scheduler->goals();
-  job.scheduler->set_goals(goals);
-  Family& family = families_[static_cast<size_t>(job.family)];
-  if (family.cache != nullptr) {
-    family.cache->InvalidateGoals(old_goals);
-  }
-}
-
-void MultiJobCoordinator::set_decision_cache_policy(const DecisionCachePolicy& policy) {
-  cache_policy_ = policy;
-  for (Family& family : families_) {
-    family.cache.reset();
-    if (policy.enabled()) {
-      family.cache = std::make_unique<DecisionCache>(*family.engine, policy);
-    }
-  }
-}
-
-DecisionCacheStats MultiJobCoordinator::decision_cache_stats() const {
-  DecisionCacheStats total;
-  for (const Family& family : families_) {
-    if (family.cache == nullptr) {
-      continue;
-    }
-    const DecisionCacheStats& s = family.cache->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.insertions += s.insertions;
-    total.evictions += s.evictions;
-    total.stale += s.stale;
-  }
-  return total;
+  jobs_[static_cast<size_t>(index)].scheduler->set_goals(goals);
 }
 
 void MultiJobCoordinator::ScoreFamily(int f) {
@@ -175,28 +130,6 @@ DecisionEngine::Selection MultiJobCoordinator::SelectJob(int job_index,
       snapshots_[j].goals, snapshots_[j].allowance, JobScores(job_index), limit);
 }
 
-DecisionEngine::Selection MultiJobCoordinator::SelectJobCached(int job_index,
-                                                               Watts limit) {
-  const Job& job = jobs_[static_cast<size_t>(job_index)];
-  Family& family = families_[static_cast<size_t>(job.family)];
-  const DecisionSnapshot& snapshot = snapshots_[static_cast<size_t>(job_index)];
-  DecisionEngine::Selection selection;
-  if (family.cache->Lookup(snapshot.goals, snapshot.allowance, snapshot.inputs, limit,
-                           &selection)) {
-    return selection;
-  }
-  // First miss in this family this round: score the whole family once, then every
-  // later miss (any job, any limit) re-selects from the same score table.
-  if (!family_scored_[static_cast<size_t>(job.family)]) {
-    ScoreFamily(job.family);
-    family_scored_[static_cast<size_t>(job.family)] = 1;
-  }
-  selection = SelectJob(job_index, limit);
-  family.cache->Insert(snapshot.goals, snapshot.allowance, snapshot.inputs, limit,
-                       selection);
-  return selection;
-}
-
 std::vector<SchedulingDecision> MultiJobCoordinator::DecideRound(
     const std::vector<InferenceRequest>& requests) {
   std::vector<SchedulingDecision> decisions;
@@ -222,64 +155,19 @@ void MultiJobCoordinator::DecideRoundInto(const std::vector<InferenceRequest>& r
   }
 
   // One batched scoring pass per family; every later allocation pass re-selects from
-  // these scores without rescoring (scores do not depend on the power limit).  With
-  // the decision cache enabled, scoring is deferred instead: only families with at
-  // least one pass-1 cache miss are scored (in parallel above the threshold, like
-  // the uncached path), so a fully-hitting round scores nothing; rare later misses
-  // (a constrained re-selection on a fully-hitting family) score lazily.
-  const bool cached = cache_policy_.enabled();
-  if (cached) {
-    family_scored_.assign(families_.size(), 0);
-    cache_misses_.clear();
-    for (size_t j = 0; j < k; ++j) {
-      const DecisionSnapshot& snapshot = snapshots_[j];
-      if (!families_[static_cast<size_t>(jobs_[j].family)].cache->Lookup(
-              snapshot.goals, snapshot.allowance, snapshot.inputs, kUnlimited,
-              &selections_[j])) {
-        cache_misses_.push_back(static_cast<int>(j));
-      }
-    }
-    miss_families_.clear();
-    for (const int j : cache_misses_) {
-      const int f = jobs_[static_cast<size_t>(j)].family;
-      if (!family_scored_[static_cast<size_t>(f)]) {
-        family_scored_[static_cast<size_t>(f)] = 1;
-        miss_families_.push_back(f);
-      }
-    }
-    if (static_cast<int>(miss_families_.size()) > 1 &&
-        static_cast<int>(k) >= parallel_threshold_) {
-      ParallelFor(static_cast<int>(miss_families_.size()),
-                  [this](int i) { ScoreFamily(miss_families_[static_cast<size_t>(i)]); });
-    } else {
-      for (const int f : miss_families_) {
-        ScoreFamily(f);
-      }
-    }
-    for (const int j : cache_misses_) {
-      const DecisionSnapshot& snapshot = snapshots_[static_cast<size_t>(j)];
-      selections_[static_cast<size_t>(j)] = SelectJob(j, kUnlimited);
-      families_[static_cast<size_t>(jobs_[static_cast<size_t>(j)].family)]
-          .cache->Insert(snapshot.goals, snapshot.allowance, snapshot.inputs,
-                         kUnlimited, selections_[static_cast<size_t>(j)]);
-    }
-  } else if (num_families() > 1 && static_cast<int>(k) >= parallel_threshold_) {
+  // these scores without rescoring (scores do not depend on the power limit).
+  if (num_families() > 1 && static_cast<int>(k) >= parallel_threshold_) {
     ParallelFor(num_families(), [this](int f) { ScoreFamily(f); });
   } else {
     for (int f = 0; f < num_families(); ++f) {
       ScoreFamily(f);
     }
   }
-  const auto select = [this, cached](int j, Watts limit) {
-    return cached ? SelectJobCached(j, limit) : SelectJob(j, limit);
-  };
 
-  // Pass 1: unconstrained desires (already selected above on the cached path).
+  // Pass 1: unconstrained desires.
   Watts desired_total = 0.0;
   for (size_t j = 0; j < k; ++j) {
-    if (!cached) {
-      selections_[j] = select(static_cast<int>(j), kUnlimited);
-    }
+    selections_[j] = SelectJob(static_cast<int>(j), kUnlimited);
     desires_[j] = jobs_[j].space->cap(selections_[j].power_index);
     desired_total += desires_[j];
   }
@@ -296,7 +184,7 @@ void MultiJobCoordinator::DecideRoundInto(const std::vector<InferenceRequest>& r
     // its full (DNN, power) choice for the power it actually gets — the coordination
     // the paper's No-coord baseline lacks.
     for (size_t j = 0; j < k; ++j) {
-      selections_[j] = select(static_cast<int>(j), desires_[j] * scale);
+      selections_[j] = SelectJob(static_cast<int>(j), desires_[j] * scale);
     }
   } else {
     // Slack recycling: discrete power caps make every job claim at or below its
@@ -310,7 +198,7 @@ void MultiJobCoordinator::DecideRoundInto(const std::vector<InferenceRequest>& r
     Watts claimed = 0.0;
     for (size_t j = 0; j < k; ++j) {
       grants_[j] = desires_[j] * scale;
-      selections_[j] = select(static_cast<int>(j), grants_[j]);
+      selections_[j] = SelectJob(static_cast<int>(j), grants_[j]);
       claims_[j] = jobs_[j].space->cap(selections_[j].power_index);
       claimed += claims_[j];
     }
@@ -354,7 +242,7 @@ void MultiJobCoordinator::DecideRoundInto(const std::vector<InferenceRequest>& r
         // Only stepped-up jobs can change their selection; everyone else's grant —
         // and therefore deterministic selection — is unchanged, so skip their rescan.
         claimed -= claims_[j];
-        selections_[j] = select(static_cast<int>(j), grants_[j]);
+        selections_[j] = SelectJob(static_cast<int>(j), grants_[j]);
         claims_[j] = jobs_[j].space->cap(selections_[j].power_index);
         claimed += claims_[j];
       }

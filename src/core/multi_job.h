@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "src/core/alert_scheduler.h"
-#include "src/core/decision_cache.h"
 #include "src/core/decision_engine.h"
 
 namespace alert {
@@ -62,11 +61,9 @@ class MultiJobCoordinator {
   // a new family.  RemoveJob erases job `index`; later jobs move down one index and
   // keep their order.  No other scheduler is touched, so every surviving job keeps
   // its learned belief as is.  A family left without jobs stays (scoring it is a
-  // no-op) and is reused if its space comes back.  Each call empties every family
-  // decision cache (the dropped entries count as stale; decision_cache_stats() stays
-  // cumulative), so from a membership change on the coordinator decides and caches
-  // exactly like one freshly constructed over the same jobs with their beliefs
-  // restored.
+  // no-op) and is reused if its space comes back.  From a membership change on, the
+  // coordinator decides exactly like one freshly constructed over the same jobs with
+  // their beliefs restored.
   void AddJob(JobSpec spec);
   void RemoveJob(int index);
 
@@ -79,19 +76,15 @@ class MultiJobCoordinator {
   // Online budget reconfiguration (a shared package limit raised or lowered while
   // jobs run, e.g. the daemon's `limit-set` verb).  The budget is read afresh every
   // round, so the change takes effect on the next DecideRound without disturbing any
-  // scheduler or cache state.
+  // scheduler state.
   void set_total_power_budget(Watts budget);
   AllocationPolicy allocation_policy() const { return policy_; }
   void set_allocation_policy(AllocationPolicy policy) { policy_ = policy; }
 
   // Per-job goal reconfiguration (requirements change at run time, Section 1.1 —
-  // the daemon's `goal-set` verb).  Updates the job's scheduler goals and, when
-  // decision caching is on, drops only the entries its family's shared cache holds
-  // under the OLD goals (DecisionCache::InvalidateGoals): goal fields are part of
-  // every cache key, so other tenants' entries — and every other family's cache —
-  // stay hot.  Calling job(i).set_goals() directly is wrong under coordination: it
-  // leaves the dead old-goal entries charging the family cache's LRU capacity, and
-  // the only previous remedy (set_decision_cache_policy) cold-started every family.
+  // the daemon's `goal-set` verb): checks the index and the goals, then updates the
+  // job's scheduler goals.  The next round decides under the new goals; no other
+  // job is touched.
   void SetJobGoals(int index, const Goals& goals);
 
   // Rounds with at least this many jobs score their families under ParallelFor.
@@ -101,19 +94,6 @@ class MultiJobCoordinator {
   // lower the threshold for much larger candidate families where per-family scoring
   // dominates the spawn cost.
   void set_parallel_scoring_threshold(int jobs) { parallel_threshold_ = jobs; }
-
-  // Decision memoization across rounds (src/core/decision_cache.h): one cache per
-  // candidate family, shared by that family's jobs, keyed on (belief snapshot, goals,
-  // allowance, power limit).  When every selection a round needs hits the cache, the
-  // round skips family scoring entirely — the hot-path win for converged fleets whose
-  // beliefs drift slowly.  A family is scored lazily the first time one of its jobs
-  // misses.  Exact mode is bit-identical to the uncached round (every hit replays a
-  // selection computed for an identical key on the same engine); the default (off)
-  // leaves the historical code path untouched.  Replaces any previous caches.
-  void set_decision_cache_policy(const DecisionCachePolicy& policy);
-  const DecisionCachePolicy& decision_cache_policy() const { return cache_policy_; }
-  // Aggregated stats over the per-family caches (zeros when caching is off).
-  DecisionCacheStats decision_cache_stats() const;
 
   // Decides one configuration per job such that the sum of their power caps does not
   // exceed the shared budget.  `requests` is indexed by job.  Leaves every scheduler's
@@ -144,8 +124,6 @@ class MultiJobCoordinator {
     // Round scratch, reused across rounds (sized on first use, job-major scores).
     std::vector<DecisionInputs> inputs;
     std::vector<ConfigScore> scores;
-    // Memoized selections shared by this family's jobs; null when caching is off.
-    std::unique_ptr<DecisionCache> cache;
   };
   struct Job {
     std::string name;
@@ -155,24 +133,18 @@ class MultiJobCoordinator {
     int slot = 0;    // index into families_[family].jobs
   };
 
-  // Empties every family cache: a membership change starts a fresh cache generation.
-  void InvalidateCaches();
   // One batched ScoreBatch pass for family `f` over the current snapshots.
   void ScoreFamily(int f);
   // One job's slice of its family's score table (valid after the round's ScoreBatch).
   std::span<const ConfigScore> JobScores(int job_index) const;
   // Re-selects job `j` from its precomputed scores under `limit`.
   DecisionEngine::Selection SelectJob(int job_index, Watts limit) const;
-  // Cached selection of job `j` under `limit`: cache hit, or (lazily scoring the
-  // job's family first) SelectJob plus an insert.  Caching must be enabled.
-  DecisionEngine::Selection SelectJobCached(int job_index, Watts limit);
 
   std::vector<Family> families_;  // first-appearance order, never removed
   std::vector<Job> jobs_;
   Watts total_power_budget_;
   AllocationPolicy policy_;
   int parallel_threshold_ = 128;
-  DecisionCachePolicy cache_policy_;  // off by default
 
   // Round scratch, reused across rounds.
   std::vector<DecisionSnapshot> snapshots_;
@@ -181,9 +153,6 @@ class MultiJobCoordinator {
   std::vector<Watts> grants_;
   std::vector<Watts> claims_;  // slack-recycling: cap actually claimed per job
   std::vector<int> order_;     // slack-recycling offer order
-  std::vector<char> family_scored_;  // cached rounds: which families scored so far
-  std::vector<int> cache_misses_;    // cached rounds: pass-1 jobs that missed
-  std::vector<int> miss_families_;   // cached rounds: families needing scoring
 };
 
 }  // namespace alert

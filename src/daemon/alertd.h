@@ -60,14 +60,11 @@
 //     MultiJobCoordinator::AddJob and a departure RemoveJob, in place on the one
 //     coordinator the daemon owns, so no surviving tenant's scheduler — and no
 //     learned state — is touched;
-//   * goal/limit changes route through SetJobGoals (which drops only the affected
-//     family-cache entries) and set_total_power_budget;
+//   * goal/limit changes route through SetJobGoals and set_total_power_budget;
 //   * belief persistence: the `belief` record serializes BeliefState through
 //     serde's %.17g exact-double round-trip, so a reconnecting tenant restores the
 //     same bits it exported;
-//   * caching: per-family DecisionCache sharing (exact mode) is decision-neutral
-//     by construction, and AddJob/RemoveJob empty every family cache, so both sides
-//     start a cold cache generation at the same script points.
+//   * no memoization: every round scores every family afresh on both sides.
 //
 // == Instrumentation ==
 //
@@ -92,7 +89,6 @@
 #include "src/common/net.h"
 #include "src/common/serde.h"
 #include "src/core/alert_scheduler.h"
-#include "src/core/decision_cache.h"
 #include "src/core/goals.h"
 #include "src/core/multi_job.h"
 #include "src/daemon/event_ring.h"
@@ -278,9 +274,6 @@ struct AlertdOptions {
   PlatformId platform = PlatformId::kCpu1;
   Watts total_power_budget = 100.0;
   AllocationPolicy policy = AllocationPolicy::kProportional;
-  // Exact-mode family caches shared across same-family tenants by default:
-  // decision-neutral (exact hits replay identical selections) but visible in stats.
-  DecisionCachePolicy cache_policy{.mode = DecisionCacheMode::kExact};
   uint64_t stack_seed = kAlertdStackSeed;
   size_t event_ring_capacity = 4096;
   std::string event_log_path;  // empty = events counted, not written
@@ -302,7 +295,6 @@ struct AlertdStats {
   uint64_t rebuilds = 0;  // membership changes: one per admit, bye or eviction batch
   uint64_t parse_errors = 0;     // line did not parse as a record
   uint64_t protocol_errors = 0;  // parsed, but violated the session state machine
-  DecisionCacheStats cache;      // cumulative over every cache generation
   uint64_t ring_pushed = 0;
   uint64_t ring_dropped = 0;
   uint64_t ring_written = 0;
@@ -381,7 +373,7 @@ class AlertdCore {
   int round_ = 0;
   int next_tenant_id_ = 0;
   bool shut_down_ = false;
-  AlertdStats counters_;  // the non-cache, non-ring counters
+  AlertdStats counters_;  // the non-ring counters
 
   // Round scratch (reused; DecideRoundInto allocates nothing once warm).
   std::vector<InferenceRequest> round_requests_;

@@ -83,8 +83,8 @@ ChurnScript MakeChurnScript(const ChurnScriptOptions& options) {
     } else {
       alt.energy_budget = 5e8;
     }
-    // Odd tenants flip into an explicit probabilistic guarantee — prob_threshold is
-    // a cache-key field, so flips exercise the selective invalidation path.
+    // Odd tenants flip into an explicit probabilistic guarantee (Eq. 12's percentile
+    // path), so goal flips change more than the deadline and the target.
     alt.prob_threshold = (i % 2 == 1) ? 0.9 : 0.0;
     t.alt_goals = alt;
     t.trace_seed = options.seed * 7919 + 1000 + 17 * static_cast<uint64_t>(i);
@@ -535,7 +535,6 @@ ChurnReplayBackend::ChurnReplayBackend(const ChurnScript& script)
       // Mirror the daemon's decision-plane configuration exactly: the defaults of
       // AlertdOptions are the contract the equivalence tests run under.
       coordinator_({}, script.options.initial_budget, AlertdOptions{}.policy) {
-  coordinator_.set_decision_cache_policy(AlertdOptions{}.cache_policy);
   saved_belief_.resize(script.tenants.size());
   has_saved_belief_.resize(script.tenants.size(), false);
 }

@@ -13,8 +13,8 @@
 //   * ChurnReplayBackend  — the OFFLINE ORACLE: the same churn applied directly to a
 //     MultiJobCoordinator (AddJob / RemoveJob in place for membership, SetJobGoals /
 //     set_total_power_budget for reconfiguration — the same moves the daemon
-//     makes), formatting the lines the daemon WOULD send via the shared alertd.h
-//     formatters.
+//     makes; neither side memoizes decisions), formatting the lines the daemon
+//     WOULD send via the shared alertd.h formatters.
 //
 // The interpreter owns everything both executions must agree on: membership
 // bookkeeping (including admission verdicts via the shared AdmissionAllows

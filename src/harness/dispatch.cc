@@ -289,7 +289,7 @@ SocketTransport::~SocketTransport() {
 serde::Status SocketTransport::Launch(int worker_index,
                                       std::unique_ptr<WorkerChannel>* out) {
   if (listen_fd_ < 0) {
-    const serde::Status s = net::ListenLocalhost(&listen_fd_, &port_);
+    const serde::Status s = net::ListenLocalhost(0, &listen_fd_, &port_);
     if (!s) {
       return serde::Wrap("socket transport", s);
     }

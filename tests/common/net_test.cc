@@ -190,7 +190,7 @@ TEST(LineChannelTest, SignalStormDoesNotCorruptDeliveredLines) {
 TEST(TcpTest, ListenConnectAcceptRoundTripsBothDirections) {
   int listen_fd = -1;
   int port = 0;
-  ASSERT_TRUE(ListenLocalhost(&listen_fd, &port).ok);
+  ASSERT_TRUE(ListenLocalhost(0, &listen_fd, &port).ok);
   ASSERT_GT(port, 0);
 
   int client_fd = -1;
@@ -220,7 +220,7 @@ TEST(TcpTest, BothEndsOfAConnectionHaveNagleOff) {
   // TCP_NODELAY.  Checked through getsockopt: no timing involved.
   int listen_fd = -1;
   int port = 0;
-  ASSERT_TRUE(ListenLocalhost(&listen_fd, &port).ok);
+  ASSERT_TRUE(ListenLocalhost(0, &listen_fd, &port).ok);
   int client_fd = -1;
   ASSERT_TRUE(ConnectTcp("127.0.0.1", port, &client_fd).ok);
   int server_fd = -1;
@@ -235,7 +235,7 @@ TEST(TcpTest, BothEndsOfAConnectionHaveNagleOff) {
 TEST(TcpTest, AcceptTimesOutWhenNobodyConnects) {
   int listen_fd = -1;
   int port = 0;
-  ASSERT_TRUE(ListenLocalhost(&listen_fd, &port).ok);
+  ASSERT_TRUE(ListenLocalhost(0, &listen_fd, &port).ok);
   int conn_fd = -1;
   const auto start = std::chrono::steady_clock::now();
   const serde::Status s = AcceptWithTimeout(listen_fd, 100, &conn_fd);
@@ -244,10 +244,38 @@ TEST(TcpTest, AcceptTimesOutWhenNobodyConnects) {
   close(listen_fd);
 }
 
+TEST(TcpTest, ListenHonoursTheRequestedPort) {
+  int first_fd = -1;
+  int port = 0;
+  ASSERT_TRUE(ListenLocalhost(0, &first_fd, &port).ok);
+  ASSERT_GT(port, 0);
+  // While the first listener holds the port, a second one on it must fail rather
+  // than quietly bind somewhere else.
+  int second_fd = -1;
+  int second_port = 0;
+  const serde::Status s = ListenLocalhost(port, &second_fd, &second_port);
+  EXPECT_FALSE(s.ok) << "second listener bound to port " << second_port;
+  if (s.ok) {
+    close(second_fd);
+  }
+  close(first_fd);
+  // Once it is free again, the requested port is the one bound.
+  ASSERT_TRUE(ListenLocalhost(port, &second_fd, &second_port).ok);
+  EXPECT_EQ(second_port, port);
+  close(second_fd);
+}
+
+TEST(TcpTest, ListenRejectsPortsOutsideTheTcpRange) {
+  int fd = -1;
+  int port = 0;
+  EXPECT_FALSE(ListenLocalhost(-1, &fd, &port).ok);
+  EXPECT_FALSE(ListenLocalhost(70000, &fd, &port).ok);  // htons would wrap it to 4464
+}
+
 TEST(TcpTest, ConnectToAClosedPortFails) {
   int listen_fd = -1;
   int port = 0;
-  ASSERT_TRUE(ListenLocalhost(&listen_fd, &port).ok);
+  ASSERT_TRUE(ListenLocalhost(0, &listen_fd, &port).ok);
   close(listen_fd);  // nobody listening on `port` anymore
   int conn_fd = -1;
   EXPECT_FALSE(ConnectTcp("127.0.0.1", port, &conn_fd).ok);

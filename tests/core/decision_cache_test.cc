@@ -1,9 +1,9 @@
-// Cache-equivalence suite for src/core/decision_cache.h: exact-match caching must be
-// bit-identical to uncached decisions — across goal modes, randomized belief-drift
-// trajectories, full harness runs of every ALERT scheme variant, and multi-job
-// coordinated rounds — plus LRU eviction/invalidation unit tests, a bounded
-// score-gap check for bucketed mode, and a concurrency smoke test on the const
-// scoring plane.  All randomness is seed-deterministic (std::mt19937_64 with fixed
+// Cache-equivalence suite for src/core/decision_cache.h: zero-width buckets (every
+// field keyed exactly) must be bit-identical to uncached decisions — across goal
+// modes, randomized belief-drift trajectories, and full harness runs of every ALERT
+// scheme variant — plus LRU eviction/invalidation unit tests, a bounded score-gap
+// check for nonzero bucket widths, and a concurrency smoke test on the const scoring
+// plane.  All randomness is seed-deterministic (std::mt19937_64 with fixed
 // seeds); there is no time- or address-dependent input anywhere.
 #include "src/core/decision_cache.h"
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/core/alert_scheduler.h"
-#include "src/core/multi_job.h"
 #include "src/dnn/zoo.h"
 #include "src/harness/constraint_grid.h"
 #include "src/harness/experiment.h"
@@ -40,9 +39,10 @@ class DecisionCacheTest : public ::testing::Test {
       : models_(BuildEvaluationSet(TaskId::kImageClassification, DnnSetChoice::kBoth)),
         sim_(GetPlatform(PlatformId::kCpu1), models_), space_(sim_), engine_(space_) {}
 
-  static DecisionCachePolicy ExactPolicy(size_t capacity = 4096) {
+  // Bucketed with every step 0: each field is keyed by its exact bit pattern.
+  static DecisionCachePolicy ZeroWidthPolicy(size_t capacity = 4096) {
     DecisionCachePolicy policy;
-    policy.mode = DecisionCacheMode::kExact;
+    policy.mode = DecisionCacheMode::kBucketed;
     policy.capacity = capacity;
     return policy;
   }
@@ -58,7 +58,7 @@ class DecisionCacheTest : public ::testing::Test {
   }
 
   // A belief-drift trajectory: a slow random walk that frequently *revisits* a
-  // recently seen belief exactly — the converged-fleet shape that makes exact-match
+  // recently seen belief exactly — the converged-fleet shape that makes zero-width
   // caching pay off at all.
   std::vector<DecisionInputs> DriftTrajectory(uint64_t seed, int steps) const {
     std::mt19937_64 rng(seed);
@@ -96,15 +96,15 @@ class DecisionCacheTest : public ::testing::Test {
   DecisionEngine engine_;
 };
 
-// --- exact mode: bit-identical to uncached ------------------------------------------
+// --- zero-width buckets: bit-identical to uncached ----------------------------------
 
-TEST_F(DecisionCacheTest, ExactModeMatchesUncachedAcrossGoalModesAndDrifts) {
+TEST_F(DecisionCacheTest, ZeroWidthBucketsMatchUncachedAcrossGoalModesAndDrifts) {
   for (const GoalMode mode : {GoalMode::kMinimizeEnergy, GoalMode::kMaximizeAccuracy,
                               GoalMode::kMinimizeLatency}) {
     for (const double pr_th : {0.0, 0.9}) {
       Goals goals = GoalsFor(mode);
       goals.prob_threshold = pr_th;
-      DecisionCache cache(engine_, ExactPolicy());
+      DecisionCache cache(engine_, ZeroWidthPolicy());
       DecisionEngine::SelectScratch cached_scratch;
       DecisionEngine::SelectScratch plain_scratch;
       const auto trajectory =
@@ -127,7 +127,7 @@ TEST_F(DecisionCacheTest, ExactModeMatchesUncachedAcrossGoalModesAndDrifts) {
 }
 
 TEST_F(DecisionCacheTest, SchedulerRunsAreBitIdenticalAcrossAlertSchemes) {
-  // Full harness runs: an AlertScheduler with the exact-match cache must reproduce
+  // Full harness runs: an AlertScheduler with a zero-width cache must reproduce
   // the uncached run decision-for-decision for every ALERT variant (full / anytime /
   // traditional candidate sets, mean-only ALERT*, WCET hard-guarantee, paced budget).
   struct Variant {
@@ -170,7 +170,7 @@ TEST_F(DecisionCacheTest, SchedulerRunsAreBitIdenticalAcrossAlertSchemes) {
     base.wcet_window = v.wcet_window;
     base.pace_energy_budget = v.pace;
     AlertOptions with_cache = base;
-    with_cache.decision_cache = ExactPolicy();
+    with_cache.decision_cache = ZeroWidthPolicy();
 
     AlertScheduler plain(stack.engine(), goals, base);
     AlertScheduler cached(stack.engine(), goals, with_cache);
@@ -200,8 +200,8 @@ TEST_F(DecisionCacheTest, SchedulerRunsAreBitIdenticalAcrossAlertSchemes) {
 
 TEST_F(DecisionCacheTest, ConvergedBeliefHitsInBucketedMode) {
   // The live Kalman filter updates mean and stddev on *every* input, so bit-exact
-  // repeats essentially never happen in a real run — exact mode is the verification
-  // mode.  Once the belief has converged, though, consecutive beliefs land in the
+  // repeats essentially never happen in a real run — zero-width buckets are the
+  // verification setting.  Once the belief has converged, though, consecutive beliefs land in the
   // same quantization bucket, which is where the hit rate (and the hot-path win)
   // comes from.
   ExperimentOptions options;
@@ -225,81 +225,6 @@ TEST_F(DecisionCacheTest, ConvergedBeliefHitsInBucketedMode) {
   EXPECT_GT(cached.decision_cache()->stats().hits, 0u);
   // Deterministic trace: measured 0.265 with 0.01-wide buckets over 200 inputs.
   EXPECT_GT(cached.decision_cache()->stats().hit_rate(), 0.2);
-}
-
-// --- multi-job coordination ---------------------------------------------------------
-
-TEST_F(DecisionCacheTest, CoordinatedRoundsMatchUncachedUnderBothPolicies) {
-  const Seconds deadline = 0.08;
-  const Watts budget = 45.0;  // binding for 4 jobs
-  const auto make_jobs = [&]() {
-    std::vector<JobSpec> jobs;
-    for (int j = 0; j < 4; ++j) {
-      JobSpec spec;
-      spec.name = "job" + std::to_string(j);
-      spec.space = &space_;
-      spec.goals.mode = GoalMode::kMaximizeAccuracy;
-      spec.goals.deadline = deadline * (1.0 + 0.05 * j);
-      spec.goals.energy_budget = 1e9;
-      jobs.push_back(std::move(spec));
-    }
-    return jobs;
-  };
-  const auto requests = [&]() {
-    std::vector<InferenceRequest> r;
-    for (int j = 0; j < 4; ++j) {
-      const Seconds d = deadline * (1.0 + 0.05 * j);
-      r.push_back(InferenceRequest{0, d, d});
-    }
-    return r;
-  }();
-
-  for (const AllocationPolicy policy :
-       {AllocationPolicy::kProportional, AllocationPolicy::kSlackRecycling}) {
-    MultiJobCoordinator plain(make_jobs(), budget, policy);
-    MultiJobCoordinator cached(make_jobs(), budget, policy);
-    cached.set_decision_cache_policy(ExactPolicy());
-
-    for (int round = 0; round < 30; ++round) {
-      const auto plain_decisions = plain.DecideRound(requests);
-      const auto cached_decisions = cached.DecideRound(requests);
-      ASSERT_EQ(plain_decisions.size(), cached_decisions.size());
-      for (size_t j = 0; j < plain_decisions.size(); ++j) {
-        EXPECT_EQ(plain_decisions[j].candidate, cached_decisions[j].candidate)
-            << "round " << round << " job " << j;
-        EXPECT_EQ(plain_decisions[j].power_index, cached_decisions[j].power_index)
-            << "round " << round << " job " << j;
-      }
-
-      std::vector<Measurement> measurements;
-      for (size_t j = 0; j < plain_decisions.size(); ++j) {
-        const SchedulingDecision& d = plain_decisions[j];
-        const Seconds profile =
-            space_.ProfileLatency(d.candidate.model_index, d.power_index);
-        const double xi = 1.0 + 0.15 * std::sin(0.37 * round);
-        Measurement m;
-        m.latency = xi * profile;
-        m.period = requests[j].deadline;
-        m.deadline = requests[j].deadline;
-        m.deadline_met = m.latency <= m.deadline;
-        m.energy = d.power_cap * m.latency;
-        m.inference_power = d.power_cap;
-        m.idle_power = 0.25 * d.power_cap;
-        m.accuracy = space_.CandidateAccuracy(d.candidate);
-        m.xi_anchor_time = xi * profile;
-        m.xi_anchor_fraction = 1.0;
-        m.xi_censored = false;
-        measurements.push_back(m);
-      }
-      plain.ObserveRound(plain_decisions, measurements);
-      cached.ObserveRound(cached_decisions, measurements);
-    }
-    // Identical consecutive beliefs (the sin-driven xi repeats exactly only rarely,
-    // but within a round the same snapshot is re-selected under several limits) must
-    // produce cache traffic.
-    const DecisionCacheStats stats = cached.decision_cache_stats();
-    EXPECT_GT(stats.hits + stats.misses, 0u);
-  }
 }
 
 // --- bucketed mode ------------------------------------------------------------------
@@ -348,14 +273,14 @@ TEST_F(DecisionCacheTest, BucketedModeHitsMoreAndStaysWithinScoreGapTolerance) {
   }
   EXPECT_GT(compared, 100);
   // The drift steps are far smaller than the bucket width, so bucketed keys must
-  // collide — that is the hit-rate advantage over exact mode.
+  // collide — that is the hit-rate advantage over zero-width buckets.
   EXPECT_GT(cache.stats().hits, cache.stats().misses);
 }
 
 // --- eviction / invalidation --------------------------------------------------------
 
 TEST_F(DecisionCacheTest, LruEvictsLeastRecentlyUsedAtCapacity) {
-  DecisionCache cache(engine_, ExactPolicy(/*capacity=*/2));
+  DecisionCache cache(engine_, ZeroWidthPolicy(/*capacity=*/2));
   const Goals goals = GoalsFor(GoalMode::kMinimizeEnergy);
   DecisionInputs a = BaseInputs();
   DecisionInputs b = BaseInputs();
@@ -382,7 +307,7 @@ TEST_F(DecisionCacheTest, LruEvictsLeastRecentlyUsedAtCapacity) {
 TEST_F(DecisionCacheTest, DistinctKeysDoNotAlias) {
   // Every key dimension must separate entries: goals mode, allowance, limit, and
   // each DecisionInputs field the selection reads.
-  DecisionCache cache(engine_, ExactPolicy());
+  DecisionCache cache(engine_, ZeroWidthPolicy());
   const Goals goals = GoalsFor(GoalMode::kMinimizeEnergy);
   const DecisionInputs base = BaseInputs();
   const DecisionEngine::Selection sel{3, 1, true};
@@ -409,7 +334,7 @@ TEST_F(DecisionCacheTest, DistinctKeysDoNotAlias) {
 }
 
 TEST_F(DecisionCacheTest, InvalidateDropsEverythingAndCountsStale) {
-  DecisionCache cache(engine_, ExactPolicy());
+  DecisionCache cache(engine_, ZeroWidthPolicy());
   const Goals goals = GoalsFor(GoalMode::kMinimizeEnergy);
   DecisionInputs in = BaseInputs();
   const DecisionEngine::Selection sel{0, 0, true};
@@ -427,7 +352,7 @@ TEST_F(DecisionCacheTest, InvalidateDropsEverythingAndCountsStale) {
 
 TEST_F(DecisionCacheTest, SetGoalsInvalidatesTheSchedulerCache) {
   AlertOptions options;
-  options.decision_cache = ExactPolicy();
+  options.decision_cache = ZeroWidthPolicy();
   Goals goals = GoalsFor(GoalMode::kMinimizeEnergy);
   AlertScheduler scheduler(engine_, goals, options);
   const InferenceRequest request{0, goals.deadline, goals.deadline};
@@ -445,7 +370,7 @@ TEST_F(DecisionCacheTest, SetGoalsInvalidatesTheSchedulerCache) {
 
 TEST_F(DecisionCacheTest, ManyCachesSharingOneEngineConcurrently) {
   // The cache itself is single-owner, but the scoring plane underneath is const and
-  // shared: N threads each drive a private exact-match cache against the same engine
+  // shared: N threads each drive a private zero-width cache against the same engine
   // and must all reproduce the serial reference decisions.
   const Goals goals = GoalsFor(GoalMode::kMinimizeEnergy);
   const auto trajectory = DriftTrajectory(99, 200);
@@ -464,7 +389,7 @@ TEST_F(DecisionCacheTest, ManyCachesSharingOneEngineConcurrently) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
-      DecisionCache cache(engine_, ExactPolicy());
+      DecisionCache cache(engine_, ZeroWidthPolicy());
       DecisionEngine::SelectScratch scratch;
       for (size_t i = 0; i < trajectory.size(); ++i) {
         const DecisionEngine::Selection got = cache.Select(

@@ -369,102 +369,13 @@ TEST_F(MultiJobTest, WarmK64HeterogeneousRoundPerformsZeroHeapAllocations) {
   }
 }
 
-// --- Per-job goal reconfiguration under shared family caches ---
-
-// SetJobGoals must drop exactly the entries keyed under the reconfigured job's OLD
-// goals: the sibling job in the same family and the whole other family stay hot.
-// (A cold-start here would show up as extra misses and a stale count covering every
-// live entry — the regression this test pins.)
-TEST_F(MultiJobTest, SetJobGoalsInvalidatesOnlyTheOldGoalEntries) {
-  // Family A: the fixture's kBoth space, two jobs with DISTINCT goals (so the old-goal
-  // invalidation can only match one of them).  Family B: a separate traditional-only
-  // space with one job.
-  std::vector<DnnModel> models_b =
-      BuildEvaluationSet(TaskId::kImageClassification, DnnSetChoice::kTraditionalOnly);
-  PlatformSimulator sim_b(GetPlatform(PlatformId::kCpu1), models_b);
-  ConfigSpace space_b(sim_b);
-
-  std::vector<JobSpec> jobs(3);
-  jobs[0].name = "a0";
-  jobs[0].space = &space_;
-  jobs[0].goals = AccuracyGoals(0.08);
-  jobs[1].name = "a1";
-  jobs[1].space = &space_;
-  jobs[1].goals = AccuracyGoals(0.10);
-  jobs[2].name = "b0";
-  jobs[2].space = &space_b;
-  jobs[2].goals = AccuracyGoals(0.09);
-  MultiJobCoordinator coordinator(jobs, 60.0);
-  DecisionCachePolicy policy;
-  policy.mode = DecisionCacheMode::kExact;
-  coordinator.set_decision_cache_policy(policy);
-
-  std::vector<InferenceRequest> requests;
-  for (const JobSpec& spec : jobs) {
-    requests.push_back(InferenceRequest{0, spec.goals.deadline, spec.goals.deadline});
-  }
-
-  coordinator.DecideRound(requests);
-  const DecisionCacheStats cold = coordinator.decision_cache_stats();
-  ASSERT_GT(cold.insertions, 0u);
-  EXPECT_EQ(cold.stale, 0u);
-
-  // Identical round, beliefs untouched: pure hits.
-  const auto warm_decisions = coordinator.DecideRound(requests);
-  const DecisionCacheStats warm = coordinator.decision_cache_stats();
-  EXPECT_EQ(warm.misses, cold.misses);
-  EXPECT_GT(warm.hits, cold.hits);
-
-  // Reconfigure job 0.  Only its old-goal entries may be dropped.
-  coordinator.SetJobGoals(0, AccuracyGoals(0.12));
-  const DecisionCacheStats flipped = coordinator.decision_cache_stats();
-  EXPECT_GT(flipped.stale, 0u);
-  EXPECT_LT(flipped.stale, cold.insertions) << "invalidation cold-started the caches";
-  EXPECT_EQ(flipped.hits, warm.hits);  // invalidation itself performs no lookups
-
-  // Next round: job 0 re-scores under its new goals (misses grow), jobs 1 and 2 still
-  // hit their surviving entries and decide exactly what they decided before.
-  const auto after = coordinator.DecideRound(requests);
-  const DecisionCacheStats reconfigured = coordinator.decision_cache_stats();
-  EXPECT_GT(reconfigured.misses, flipped.misses);
-  EXPECT_GT(reconfigured.hits, flipped.hits);
-  EXPECT_EQ(after[1].candidate.model_index, warm_decisions[1].candidate.model_index);
-  EXPECT_EQ(after[1].candidate.stage_limit, warm_decisions[1].candidate.stage_limit);
-  EXPECT_EQ(after[1].power_index, warm_decisions[1].power_index);
-  EXPECT_EQ(after[2].candidate.model_index, warm_decisions[2].candidate.model_index);
-  EXPECT_EQ(after[2].candidate.stage_limit, warm_decisions[2].candidate.stage_limit);
-  EXPECT_EQ(after[2].power_index, warm_decisions[2].power_index);
-
-  // Reconfigure the family-B job: family A's entries must survive untouched — the
-  // stale delta stays below the number of entries the caches currently hold.
-  const uint64_t live_entries = reconfigured.insertions - reconfigured.stale;
-  coordinator.SetJobGoals(2, AccuracyGoals(0.14));
-  const DecisionCacheStats flipped_b = coordinator.decision_cache_stats();
-  EXPECT_GT(flipped_b.stale, reconfigured.stale);
-  EXPECT_LT(flipped_b.stale - reconfigured.stale, live_entries);
-  const DecisionCacheStats before_final = flipped_b;
-  const auto final_round = coordinator.DecideRound(requests);
-  const DecisionCacheStats final_stats = coordinator.decision_cache_stats();
-  EXPECT_GT(final_stats.hits, before_final.hits);  // family A still hot
-  EXPECT_EQ(final_round[1].power_index, warm_decisions[1].power_index);
-}
-
 // --- In-place membership ---
-
-// Entries a coordinator's family caches hold right now: every insertion is later
-// either evicted, dropped as stale, or still live.
-uint64_t LiveCacheEntries(const MultiJobCoordinator& coordinator) {
-  const DecisionCacheStats s = coordinator.decision_cache_stats();
-  return s.insertions - s.evictions - s.stale;
-}
 
 // A seeded random sequence of AddJob / RemoveJob / rounds (DecideRound then
 // ObserveRound) across four candidate families.  After every step the in-place
 // coordinator must decide bit-identically to a coordinator freshly constructed over
 // the same specs with every job's belief transplanted by RestoreBelief (the
-// reference semantics of a membership change).  A membership change must leave
-// every family cache empty, and the cumulative cache counters must never go
-// backwards.
+// reference semantics of a membership change).
 TEST_F(MultiJobTest, InPlaceMembershipDecidesLikeAFreshlyBuiltCoordinator) {
   ConfigSpace space_b(sim_);  // content-identical to space_, a family of its own
   std::vector<DnnModel> models_c =
@@ -477,87 +388,68 @@ TEST_F(MultiJobTest, InPlaceMembershipDecidesLikeAFreshlyBuiltCoordinator) {
   ConfigSpace space_d(sim_d);
   const ConfigSpace* spaces[] = {&space_, &space_b, &space_c, &space_d};
   const Watts budget = 90.0;  // binding from about four jobs up
-  DecisionCachePolicy exact;
-  exact.mode = DecisionCacheMode::kExact;
 
   for (const AllocationPolicy policy :
        {AllocationPolicy::kProportional, AllocationPolicy::kSlackRecycling}) {
-    for (const DecisionCachePolicy& cache : {DecisionCachePolicy{}, exact}) {
-      SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy)
-                                      << " cache " << static_cast<int>(cache.mode));
-      MultiJobCoordinator coordinator({}, budget, policy);
-      coordinator.set_decision_cache_policy(cache);
-      std::vector<JobSpec> specs;  // mirrors the coordinator's jobs, in order
-      Rng rng(41);
-      int next_name = 0;
-      int round = 0;
-      DecisionCacheStats last = coordinator.decision_cache_stats();
-      int families_emptied = 0;
+    SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy));
+    MultiJobCoordinator coordinator({}, budget, policy);
+    std::vector<JobSpec> specs;  // mirrors the coordinator's jobs, in order
+    Rng rng(41);
+    int next_name = 0;
+    int round = 0;
+    int families_emptied = 0;
 
-      for (int step = 0; step < 240; ++step) {
-        SCOPED_TRACE(testing::Message() << "step " << step);
-        const int k = static_cast<int>(specs.size());
-        const int op = rng.UniformInt(0, 9);
-        bool membership = false;
-        if (k == 0 || (op < 4 && k < 12)) {
-          JobSpec spec;
-          spec.name = "job" + std::to_string(next_name++);
-          spec.space = spaces[rng.UniformInt(0, static_cast<int>(std::size(spaces)) - 1)];
-          spec.goals = AccuracyGoals(0.06 + 0.02 * rng.UniformInt(0, 3));
-          coordinator.AddJob(spec);
-          specs.push_back(spec);
-          membership = true;
-        } else if (op < 7) {
-          const int index = rng.UniformInt(0, k - 1);
-          const ConfigSpace* space = specs[static_cast<size_t>(index)].space;
-          coordinator.RemoveJob(index);
-          specs.erase(specs.begin() + index);
-          families_emptied += std::none_of(specs.begin(), specs.end(),
-                                           [space](const JobSpec& spec) {
-                                             return spec.space == space;
-                                           });
-          membership = true;
-        } else {
-          const auto decisions = coordinator.DecideRound(Requests(specs));
-          std::vector<Measurement> measurements;
-          for (size_t j = 0; j < decisions.size(); ++j) {
-            measurements.push_back(FakeMeasurement(decisions[j], *specs[j].space,
-                                                   specs[j].goals.deadline, round));
-          }
-          coordinator.ObserveRound(decisions, measurements);
-          ++round;
+    for (int step = 0; step < 240; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const int k = static_cast<int>(specs.size());
+      const int op = rng.UniformInt(0, 9);
+      if (k == 0 || (op < 4 && k < 12)) {
+        JobSpec spec;
+        spec.name = "job" + std::to_string(next_name++);
+        spec.space = spaces[rng.UniformInt(0, static_cast<int>(std::size(spaces)) - 1)];
+        spec.goals = AccuracyGoals(0.06 + 0.02 * rng.UniformInt(0, 3));
+        coordinator.AddJob(spec);
+        specs.push_back(spec);
+      } else if (op < 7) {
+        const int index = rng.UniformInt(0, k - 1);
+        const ConfigSpace* space = specs[static_cast<size_t>(index)].space;
+        coordinator.RemoveJob(index);
+        specs.erase(specs.begin() + index);
+        families_emptied += std::none_of(specs.begin(), specs.end(),
+                                         [space](const JobSpec& spec) {
+                                           return spec.space == space;
+                                         });
+      } else {
+        const auto decisions = coordinator.DecideRound(Requests(specs));
+        std::vector<Measurement> measurements;
+        for (size_t j = 0; j < decisions.size(); ++j) {
+          measurements.push_back(FakeMeasurement(decisions[j], *specs[j].space,
+                                                 specs[j].goals.deadline, round));
         }
-        ASSERT_EQ(coordinator.num_jobs(), static_cast<int>(specs.size()));
-        for (size_t j = 0; j < specs.size(); ++j) {
-          ASSERT_EQ(coordinator.job_name(static_cast<int>(j)), specs[j].name);
-          ASSERT_EQ(&coordinator.job(static_cast<int>(j)).engine().space(),
-                    specs[j].space);
-        }
-        if (membership) {
-          EXPECT_EQ(LiveCacheEntries(coordinator), 0u);
-        }
-        const DecisionCacheStats now = coordinator.decision_cache_stats();
-        EXPECT_GE(now.hits, last.hits);
-        EXPECT_GE(now.misses, last.misses);
-        EXPECT_GE(now.insertions, last.insertions);
-        last = now;
-
-        MultiJobCoordinator fresh(specs, budget, policy);
-        fresh.set_decision_cache_policy(cache);
-        for (int j = 0; j < fresh.num_jobs(); ++j) {
-          fresh.job(j).RestoreBelief(coordinator.job(j).ExportBelief());
-        }
-        const auto requests = Requests(specs);
-        ExpectSameDecisions(coordinator.DecideRound(requests), fresh.DecideRound(requests));
-        if (testing::Test::HasFailure()) {
-          return;
-        }
+        coordinator.ObserveRound(decisions, measurements);
+        ++round;
       }
-      // The sequence must really have emptied and refilled families.
-      EXPECT_GE(coordinator.num_families(), 4);
-      EXPECT_GT(families_emptied, 0);
-      EXPECT_GT(round, 20);
+      ASSERT_EQ(coordinator.num_jobs(), static_cast<int>(specs.size()));
+      for (size_t j = 0; j < specs.size(); ++j) {
+        ASSERT_EQ(coordinator.job_name(static_cast<int>(j)), specs[j].name);
+        ASSERT_EQ(&coordinator.job(static_cast<int>(j)).engine().space(),
+                  specs[j].space);
+      }
+
+      MultiJobCoordinator fresh(specs, budget, policy);
+      for (int j = 0; j < fresh.num_jobs(); ++j) {
+        fresh.job(j).RestoreBelief(coordinator.job(j).ExportBelief());
+      }
+      const auto requests = Requests(specs);
+      ExpectSameDecisions(coordinator.DecideRound(requests), fresh.DecideRound(requests));
+      if (testing::Test::HasFailure()) {
+        return;
+      }
     }
+    // The sequence must really have emptied and refilled families.
+    EXPECT_GE(coordinator.num_families(), 4);
+    EXPECT_GT(families_emptied, 0);
+    EXPECT_GT(round, 20);
   }
 }
 

@@ -3,11 +3,15 @@
 // byte-identical to the offline replay of the same script against a bare
 // MultiJobCoordinator.  Any divergence — admission verdicts, goal reconfiguration,
 // belief transplant across reconnects, budget changes, decision bytes — fails here.
+// Live and replay share the coordinator, so a change to it moves both sides at once;
+// the golden transcripts pin the replay itself across commits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "src/common/serde.h"
 #include "src/daemon/alertd.h"
 #include "src/daemon/churn_sim.h"
 
@@ -93,6 +97,46 @@ TEST(AlertdEquivalenceTest, ChurnK128MatchesOfflineReplayByteForByte) {
   RunEquivalence(options, &result);
   EXPECT_GT(result.stats.admitted, 32u);
   EXPECT_GT(result.stats.restores, 0u);
+}
+
+// The replay of a committed script must reproduce, byte for byte, the transcript
+// `churn_drive --mode=replay` wrote for it when the golden file was generated.
+void ExpectReplayMatchesGolden(ChurnScriptOptions options, const std::string& name) {
+  std::string golden;
+  const serde::Status read =
+      serde::ReadFile(std::string(ALERT_TESTDATA_DIR) + "/" + name, &golden);
+  ASSERT_TRUE(static_cast<bool>(read)) << read.message;
+
+  const ChurnScript script = MakeChurnScript(options);
+  ChurnReplayBackend replay(script);
+  std::string text;
+  for (const std::string& line : RunChurnScript(script, replay)) {
+    text += line;
+    text += '\n';
+  }
+  const auto at =
+      std::mismatch(text.begin(), text.end(), golden.begin(), golden.end()).first;
+  EXPECT_TRUE(text == golden)
+      << name << " diverged from the golden transcript at line "
+      << 1 + std::count(text.begin(), at, '\n');
+}
+
+TEST(AlertdEquivalenceTest, ReplayOfSeed13K8MatchesGoldenTranscript) {
+  ChurnScriptOptions options;
+  options.seed = 13;
+  options.max_tenants = 8;
+  options.num_events = 128;
+  options.initial_budget = 200.0;
+  ExpectReplayMatchesGolden(options, "churn_s13_k8_e128.golden");
+}
+
+TEST(AlertdEquivalenceTest, ReplayOfSeed13K64MatchesGoldenTranscript) {
+  ChurnScriptOptions options;
+  options.seed = 13;
+  options.max_tenants = 64;
+  options.num_events = 400;
+  options.initial_budget = 2000.0;
+  ExpectReplayMatchesGolden(options, "churn_s13_k64_e400.golden");
 }
 
 }  // namespace

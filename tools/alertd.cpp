@@ -25,13 +25,12 @@ namespace {
 [[noreturn]] void Usage(const char* argv0) {
   std::printf(
       "usage: %s [--port=N] [--port-file=PATH] [--budget=W] [--platform=NAME]\n"
-      "          [--policy=proportional|slack] [--cache=off|exact] [--log=PATH]\n"
-      "  --port=N        listen port (default 0 = ephemeral)\n"
+      "          [--policy=proportional|slack] [--log=PATH]\n"
+      "  --port=N        listen port, 0-65535 (default 0 = ephemeral)\n"
       "  --port-file=PATH  write the bound port here once listening\n"
-      "  --budget=W      total power budget in watts (default 100)\n"
+      "  --budget=W      total power budget in watts, finite and > 0 (default 100)\n"
       "  --platform=NAME embedded|cpu1|cpu2|gpu (default cpu1)\n"
       "  --policy=NAME   budget split policy (default proportional)\n"
-      "  --cache=MODE    decision cache mode (default exact)\n"
       "  --log=PATH      event log file (serde records, default: none)\n",
       argv0);
   std::exit(2);
@@ -63,11 +62,18 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (auto v = ArgValue(arg, "--port")) {
-      options.port = std::atoi(v->c_str());
+      // The range (0-65535) is checked where the port is bound.
+      if (!serde::ParseInt(*v, &options.port)) {
+        Fail("--port must be an integer, got '" + *v + "'");
+      }
     } else if (auto v = ArgValue(arg, "--port-file")) {
       port_file = *v;
     } else if (auto v = ArgValue(arg, "--budget")) {
-      options.total_power_budget = std::atof(v->c_str());
+      // ParseDouble refuses nan and inf, which would poison the budget split.
+      if (!serde::ParseDouble(*v, &options.total_power_budget) ||
+          options.total_power_budget <= 0.0) {
+        Fail("--budget must be a finite number > 0, got '" + *v + "'");
+      }
     } else if (auto v = ArgValue(arg, "--platform")) {
       if (*v == "embedded") {
         options.platform = PlatformId::kEmbedded;
@@ -88,22 +94,11 @@ int main(int argc, char** argv) {
       } else {
         Fail("unknown policy '" + *v + "'");
       }
-    } else if (auto v = ArgValue(arg, "--cache")) {
-      if (*v == "off") {
-        options.cache_policy.mode = DecisionCacheMode::kOff;
-      } else if (*v == "exact") {
-        options.cache_policy.mode = DecisionCacheMode::kExact;
-      } else {
-        Fail("unknown cache mode '" + *v + "'");
-      }
     } else if (auto v = ArgValue(arg, "--log")) {
       options.event_log_path = *v;
     } else {
       Usage(argv[0]);
     }
-  }
-  if (options.total_power_budget <= 0.0) {
-    Fail("--budget must be positive");
   }
 
   std::signal(SIGTERM, HandleSignal);
