@@ -13,7 +13,8 @@
 #   5. drive a fresh daemon through the seed-13 K=8 script and require the live
 #      transcript to equal the committed golden file byte for byte;
 #   6. require a nonzero exit for flags the daemon must refuse (a NaN budget, a
-#      port beyond 65535, the retired --cache flag).
+#      port beyond 65535, the retired --cache flag), and a usage error (exit 2, no
+#      ALERT_CHECK abort) for malformed churn_drive numbers.
 # Daemon stderr and event logs land in ${WORK_DIR}/logs/ for CI artifact upload.
 # Invoked with -DALERTD=... -DCHURN_DRIVE=... -DTESTDATA_DIR=... -DWORK_DIR=...
 foreach(var ALERTD CHURN_DRIVE TESTDATA_DIR WORK_DIR)
@@ -129,6 +130,16 @@ foreach(bad_flag --budget=nan --budget=inf --port=70000 --port=abc --cache=exact
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET TIMEOUT 10)
   if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
     message(FATAL_ERROR "alertd_e2e: 'alertd ${bad_flag}' was not refused (result ${rc})")
+  endif()
+endforeach()
+
+foreach(bad_flag --budget=nan --budget=inf --seed=abc --tenants=abc --events=-1)
+  execute_process(COMMAND ${CHURN_DRIVE} --mode=replay --out=refused.txt ${bad_flag}
+                  WORKING_DIRECTORY ${WORK_DIR} RESULT_VARIABLE rc
+                  OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 10)
+  if(NOT rc EQUAL 2 OR err MATCHES "ALERT_CHECK failed")
+    message(FATAL_ERROR "alertd_e2e: 'churn_drive --mode=replay ${bad_flag}' exited "
+                        "${rc} instead of a usage error:\n${err}")
   endif()
 endforeach()
 

@@ -5,8 +5,9 @@
 # Contract:
 #   0 — every compared metric within trajectory (and at least one was compared);
 #   1 — a perf regression or a baseline metric missing from the current report;
-#   2 — unusable invocation: unreadable file, bad flags, or a VACUOUS gate that
-#       named no comparable metric at all.
+#   2 — unusable invocation: unreadable file, bad flags, a malformed or non-finite
+#       threshold (a NaN threshold would pass every comparison), or a VACUOUS gate
+#       that named no comparable metric at all.
 # Invoked with -DBENCH_CHECK=... -DWORK_DIR=...
 foreach(var BENCH_CHECK WORK_DIR)
   if(NOT DEFINED ${var})
@@ -66,5 +67,15 @@ expect_exit(2 missing_file
             ${BENCH_CHECK} --baseline=base.json --current=no_such_file.json)
 expect_exit(2 bad_flag
             ${BENCH_CHECK} --baseline=base.json --current=cur_good.json --frobnicate)
+# A regressed report must not slip through a threshold that does not parse.
+expect_exit(2 nan_threshold
+            ${BENCH_CHECK} --baseline=base.json --current=cur_regressed.json
+            --threshold=nan)
+expect_exit(2 trailing_text_threshold
+            ${BENCH_CHECK} --baseline=base.json --current=cur_regressed.json
+            --threshold=0.35abc)
+expect_exit(2 nan_env_threshold
+            ${CMAKE_COMMAND} -E env BENCH_MAX_REGRESSION=nan
+            ${BENCH_CHECK} --baseline=base.json --current=cur_regressed.json)
 
 message(STATUS "bench_gate_e2e: bench_check honors its exit-code contract")

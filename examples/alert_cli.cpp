@@ -17,7 +17,7 @@
 #include <optional>
 #include <string>
 
-#include "src/core/alert_scheduler.h"
+#include "src/common/serde.h"
 #include "src/harness/constraint_grid.h"
 #include "src/harness/csv.h"
 #include "src/harness/evaluation.h"
@@ -42,10 +42,6 @@ struct CliOptions {
   std::string csv_path;
   std::string trace_csv_path;
   bool compare_static = true;
-  // Decision memoization for the ALERT-family schemes (src/core/decision_cache.h).
-  // Off reproduces the historical decision path bit-for-bit; bucketed trades a
-  // bounded score gap for hit rate.
-  DecisionCachePolicy decision_cache;
 };
 
 [[noreturn]] void Usage(const char* argv0) {
@@ -64,11 +60,7 @@ struct CliOptions {
       "  --inputs=N --seed=S            trace length and seed\n"
       "  --csv=PATH                     dump per-input records\n"
       "  --trace-csv=PATH               dump the environment trace\n"
-      "  --no-static                    skip the OracleStatic comparison\n"
-      "  --decision-cache=off|bucketed[:W]\n"
-      "                                 memoize ALERT decisions (default off).\n"
-      "                                 bucketed: quantize the xi belief to\n"
-      "                                 width W (default 0.01) buckets\n",
+      "  --no-static                    skip the OracleStatic comparison\n",
       argv0);
   std::exit(2);
 }
@@ -104,6 +96,12 @@ CliOptions Parse(int argc, char** argv) {
       {"no-coord", SchemeId::kNoCoord},    {"oracle", SchemeId::kOracle}};
 
   CliOptions o;
+  // Numbers are parsed strictly (whole token, finite); a malformed or out-of-range
+  // value is a usage error rather than a silent default or a crash.
+  auto bad = [&](const char* arg, const char* what) {
+    std::fprintf(stderr, "%s: expected %s\n", arg, what);
+    Usage(argv[0]);
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto lookup = [&](const char* name, const auto& table, auto* out) {
@@ -125,42 +123,32 @@ CliOptions Parse(int argc, char** argv) {
       continue;
     }
     if (const auto v = ArgValue(arg, "--deadline-mult")) {
-      o.deadline_mult = std::atof(v->c_str());
+      if (!serde::ParseDouble(*v, &o.deadline_mult) || o.deadline_mult <= 0.0) {
+        bad(arg, "a finite number > 0");
+      }
     } else if (const auto v2 = ArgValue(arg, "--accuracy-goal")) {
-      o.accuracy_goal = std::atof(v2->c_str());
+      if (!serde::ParseDouble(*v2, &o.accuracy_goal) || o.accuracy_goal < 0.0 ||
+          o.accuracy_goal > 1.0) {
+        bad(arg, "a number in [0, 1]");
+      }
     } else if (const auto v3 = ArgValue(arg, "--power-watts")) {
-      o.power_watts = std::atof(v3->c_str());
+      if (!serde::ParseDouble(*v3, &o.power_watts) || o.power_watts < 0.0) {
+        bad(arg, "a finite number >= 0");
+      }
     } else if (const auto v4 = ArgValue(arg, "--inputs")) {
-      o.inputs = std::atoi(v4->c_str());
+      if (!serde::ParseInt(*v4, &o.inputs) || o.inputs <= 0) {
+        bad(arg, "an integer > 0");
+      }
     } else if (const auto v5 = ArgValue(arg, "--seed")) {
-      o.seed = static_cast<uint64_t>(std::atoll(v5->c_str()));
+      if (!serde::ParseUint64(*v5, &o.seed)) {
+        bad(arg, "an unsigned integer");
+      }
     } else if (const auto v6 = ArgValue(arg, "--csv")) {
       o.csv_path = *v6;
     } else if (const auto v7 = ArgValue(arg, "--trace-csv")) {
       o.trace_csv_path = *v7;
     } else if (std::strcmp(arg, "--no-static") == 0) {
       o.compare_static = false;
-    } else if (const auto v8 = ArgValue(arg, "--decision-cache")) {
-      if (*v8 == "off") {
-        o.decision_cache.mode = DecisionCacheMode::kOff;
-      } else if (*v8 == "bucketed" || v8->rfind("bucketed:", 0) == 0) {
-        o.decision_cache.mode = DecisionCacheMode::kBucketed;
-        double width = 0.01;
-        if (v8->size() > 9) {
-          width = std::atof(v8->c_str() + 9);
-        } else if (v8->size() == 9) {
-          width = 0.0;  // bare "bucketed:" — reject below
-        }
-        if (width <= 0.0) {
-          std::fprintf(stderr, "bad bucket width in %s\n", arg);
-          Usage(argv[0]);
-        }
-        o.decision_cache.xi_mean_step = width;
-        o.decision_cache.xi_stddev_step = width;
-      } else {
-        std::fprintf(stderr, "unknown value for --decision-cache: %s\n", v8->c_str());
-        Usage(argv[0]);
-      }
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg);
       Usage(argv[0]);
@@ -209,25 +197,10 @@ int main(int argc, char** argv) {
   }
   std::printf(", %d inputs, seed %" PRIu64 "\n\n", cli.inputs, cli.seed);
 
-  auto scheduler = MakeScheduler(cli.scheme, experiment, goals, cli.decision_cache);
+  auto scheduler = MakeScheduler(cli.scheme, experiment, goals);
   const Stack& stack = experiment.stack(SchemeDnnSet(cli.scheme));
   const bool keep = !cli.csv_path.empty();
   const RunResult run = experiment.Run(stack, *scheduler, goals, keep);
-
-  if (cli.decision_cache.enabled()) {
-    const auto* alert = dynamic_cast<const AlertScheduler*>(scheduler.get());
-    if (alert != nullptr && alert->decision_cache() != nullptr) {
-      const DecisionCacheStats& stats = alert->decision_cache()->stats();
-      std::printf("decision cache: %.1f%% hit rate (%llu hits, %llu misses, "
-                  "%llu evicted)\n\n",
-                  100.0 * stats.hit_rate(), (unsigned long long)stats.hits,
-                  (unsigned long long)stats.misses,
-                  (unsigned long long)stats.evictions);
-    } else {
-      std::printf("decision cache: not applicable to %s\n\n",
-                  SchemeName(cli.scheme).data());
-    }
-  }
 
   std::printf("energy    %8.4f J/input\n", run.avg_energy);
   std::printf("accuracy  %8.2f %%%s\n", 100.0 * run.avg_accuracy,

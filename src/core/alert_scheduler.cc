@@ -32,9 +32,6 @@ AlertScheduler::AlertScheduler(std::unique_ptr<const DecisionEngine> owned,
   if (options_.wcet_window > 0) {
     wcet_window_.emplace(static_cast<size_t>(options_.wcet_window));
   }
-  if (options_.decision_cache.enabled()) {
-    cache_ = std::make_unique<DecisionCache>(*engine_, options_.decision_cache);
-  }
 }
 
 BeliefState AlertScheduler::ExportBelief() const {
@@ -54,11 +51,6 @@ void AlertScheduler::RestoreBelief(const BeliefState& state) {
   idle_power_.Restore(state.idle);
   energy_spent_ = state.energy_spent;
   inputs_observed_ = state.inputs_observed;
-  if (cache_ != nullptr) {
-    // A restored belief is a discontinuity: old-belief entries are dead weight, the
-    // same hygiene rule as set_goals (keys still guard correctness either way).
-    cache_->Invalidate();
-  }
 }
 
 XiBelief AlertScheduler::xi_belief() const {
@@ -146,16 +138,7 @@ SchedulingDecision DecideFromSnapshot(const DecisionSnapshot& snapshot,
 }
 
 SchedulingDecision AlertScheduler::Decide(const InferenceRequest& request) {
-  if (cache_ == nullptr) {
-    return DecideFromSnapshot(Snapshot(request), power_limit_, scratch_);
-  }
-  // Memoized path: with every step 0 a hit replays a selection the engine computed
-  // for bit-identical (snapshot, limit), so the decision is identical to the line
-  // above; nonzero steps may return a nearby snapshot's selection.
-  const DecisionSnapshot snapshot = Snapshot(request);
-  const DecisionEngine::Selection selection = cache_->Select(
-      snapshot.goals, snapshot.allowance, snapshot.inputs, power_limit_, scratch_);
-  return MakeSchedulingDecision(engine_->space(), selection);
+  return DecideFromSnapshot(Snapshot(request), power_limit_, scratch_);
 }
 
 void AlertScheduler::Observe(const SchedulingDecision& decision, const Measurement& m) {

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/core/config_space.h"
-#include "src/core/decision_cache.h"
 #include "src/core/decision_engine.h"
 #include "src/core/estimates.h"
 #include "src/core/goals.h"
@@ -59,12 +58,6 @@ struct AlertOptions {
   // Kalman filter parameters (Eq. 5 defaults).
   AdaptiveKalmanParams kalman;
   IdlePowerFilterParams idle_filter;
-  // Decision memoization (src/core/decision_cache.h).  Off by default — the decision
-  // path is then the exact historical code; all-zero steps are provably bit-identical
-  // and nonzero steps trade a bounded score gap for hit rate.  The cache is
-  // invalidated on set_goals and dies with the scheduler (and therefore with its
-  // engine/profile).
-  DecisionCachePolicy decision_cache;
   // Display name override (e.g. "ALERT-Any").
   std::string name = "ALERT";
 };
@@ -132,15 +125,8 @@ class AlertScheduler final : public Scheduler {
   // DecideFromSnapshot or the DecisionEngine batch API.
   DecisionSnapshot Snapshot(const InferenceRequest& request) const;
 
-  // Dynamic goal updates (requirements change at run time, Section 1.1).  Invalidates
-  // the decision cache: goal fields are part of the cache key, but entries for the
-  // old goals are dead weight against the LRU capacity.
-  void set_goals(const Goals& goals) {
-    goals_ = goals;
-    if (cache_ != nullptr) {
-      cache_->Invalidate();
-    }
-  }
+  // Dynamic goal updates (requirements change at run time, Section 1.1).
+  void set_goals(const Goals& goals) { goals_ = goals; }
   const Goals& goals() const { return goals_; }
 
   // External power-cap limit: configurations above the limit are not considered.
@@ -174,10 +160,6 @@ class AlertScheduler final : public Scheduler {
   // The scoring plane this scheduler routes candidate estimates through.
   const DecisionEngine& engine() const { return *engine_; }
 
-  // The decision cache, or nullptr when AlertOptions::decision_cache is off.
-  // Exposed for stats inspection (hit/miss/stale counters) and tests.
-  const DecisionCache* decision_cache() const { return cache_.get(); }
-
  private:
   // Both public constructors delegate here; exactly one of `owned`/`shared` is set.
   AlertScheduler(std::unique_ptr<const DecisionEngine> owned,
@@ -200,8 +182,6 @@ class AlertScheduler final : public Scheduler {
   Watts power_limit_ = 1e9;
   // Per-decision scratch for the fused SelectBest (avoids an allocation per input).
   DecisionEngine::SelectScratch scratch_;
-  // Memoized selections (AlertOptions::decision_cache); null when the policy is off.
-  std::unique_ptr<DecisionCache> cache_;
 
   // Pacing state (pace_energy_budget).
   Joules energy_spent_ = 0.0;

@@ -61,8 +61,7 @@ DnnSetChoice SchemeDnnSet(SchemeId id) {
 }
 
 std::unique_ptr<Scheduler> MakeScheduler(SchemeId id, const Experiment& experiment,
-                                         const Goals& goals,
-                                         const DecisionCachePolicy& cache) {
+                                         const Goals& goals) {
   const Stack& stack = experiment.stack(SchemeDnnSet(id));
   switch (id) {
     case SchemeId::kAlert:
@@ -70,7 +69,6 @@ std::unique_ptr<Scheduler> MakeScheduler(SchemeId id, const Experiment& experime
     case SchemeId::kAlertTrad: {
       AlertOptions options;
       options.name = std::string(SchemeName(id));
-      options.decision_cache = cache;
       return std::make_unique<AlertScheduler>(stack.engine(), goals, options);
     }
     case SchemeId::kAlertStar:
@@ -79,7 +77,6 @@ std::unique_ptr<Scheduler> MakeScheduler(SchemeId id, const Experiment& experime
       AlertOptions options;
       options.use_variance = false;
       options.name = std::string(SchemeName(id));
-      options.decision_cache = cache;
       return std::make_unique<AlertScheduler>(stack.engine(), goals, options);
     }
     case SchemeId::kSysOnly:

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string_view>
 
-#include "src/core/decision_cache.h"
 #include "src/core/goals.h"
 #include "src/core/scheduler.h"
 #include "src/dnn/zoo.h"
@@ -36,12 +35,8 @@ std::string_view SchemeName(SchemeId id);
 DnnSetChoice SchemeDnnSet(SchemeId id);
 
 // Builds a fresh scheduler (fresh feedback state) for one constraint setting.
-// `cache` (default off ⇒ the exact historical behavior) applies decision
-// memoization to the ALERT-family schemes; the fixed-configuration baselines and
-// the clairvoyant Oracle ignore it — they have no per-input rescore to skip.
 std::unique_ptr<Scheduler> MakeScheduler(SchemeId id, const Experiment& experiment,
-                                         const Goals& goals,
-                                         const DecisionCachePolicy& cache = {});
+                                         const Goals& goals);
 
 }  // namespace alert
 

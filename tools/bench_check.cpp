@@ -30,6 +30,7 @@
 #include <string>
 
 #include "src/common/json.h"
+#include "src/common/serde.h"
 
 namespace {
 
@@ -60,9 +61,15 @@ bool IsSimdMetric(const std::string& name) {
 int main(int argc, char** argv) {
   std::string baseline_path;
   std::string current_path;
+  // Both threshold sources parse strictly: a NaN threshold would make every floor
+  // NaN, no comparison could fail, and the gate would pass everything.
   double threshold = 0.35;
   if (const char* env = std::getenv("BENCH_MAX_REGRESSION")) {
-    threshold = std::atof(env);
+    if (!alert::serde::ParseDouble(env, &threshold)) {
+      std::fprintf(stderr, "bench_check: BENCH_MAX_REGRESSION must be a finite "
+                   "number, got '%s'\n", env);
+      return 2;
+    }
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -71,7 +78,11 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--current=", 0) == 0) {
       current_path = arg.substr(10);
     } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::atof(arg.c_str() + 12);
+      if (!alert::serde::ParseDouble(arg.substr(12), &threshold)) {
+        std::fprintf(stderr, "bench_check: --threshold must be a finite number, got "
+                     "'%s'\n", arg.c_str() + 12);
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "bench_check: unknown flag %s\n", arg.c_str());
       return 2;

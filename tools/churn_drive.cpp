@@ -83,6 +83,12 @@ int main(int argc, char** argv) {
   int timeout_ms = 10000;
   ChurnScriptOptions options;
 
+  // Numbers are parsed strictly (whole token, finite) and range-checked here, so a
+  // malformed value is a usage error instead of a silent 0 or an abort further in.
+  auto bad = [&](const char* arg, const char* what) {
+    std::fprintf(stderr, "churn_drive: %s: expected %s\n", arg, what);
+    Usage(argv[0]);
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (auto v = ArgValue(arg, "--mode")) {
@@ -92,17 +98,28 @@ int main(int argc, char** argv) {
     } else if (auto v = ArgValue(arg, "--host")) {
       host = *v;
     } else if (auto v = ArgValue(arg, "--port")) {
-      port = std::atoi(v->c_str());
+      if (!serde::ParseInt(*v, &port) || port <= 0 || port > 65535) {
+        bad(arg, "a TCP port in 1-65535");
+      }
     } else if (auto v = ArgValue(arg, "--port-file")) {
       port_file = *v;
     } else if (auto v = ArgValue(arg, "--seed")) {
-      options.seed = static_cast<uint64_t>(std::atoll(v->c_str()));
+      if (!serde::ParseUint64(*v, &options.seed)) {
+        bad(arg, "an unsigned integer");
+      }
     } else if (auto v = ArgValue(arg, "--tenants")) {
-      options.max_tenants = std::atoi(v->c_str());
+      if (!serde::ParseInt(*v, &options.max_tenants) || options.max_tenants <= 0) {
+        bad(arg, "an integer > 0");
+      }
     } else if (auto v = ArgValue(arg, "--events")) {
-      options.num_events = std::atoi(v->c_str());
+      if (!serde::ParseInt(*v, &options.num_events) || options.num_events <= 0) {
+        bad(arg, "an integer > 0");
+      }
     } else if (auto v = ArgValue(arg, "--budget")) {
-      options.initial_budget = std::atof(v->c_str());
+      if (!serde::ParseDouble(*v, &options.initial_budget) ||
+          options.initial_budget <= 0.0) {
+        bad(arg, "a finite number > 0");
+      }
     } else if (auto v = ArgValue(arg, "--platform")) {
       if (*v == "embedded") {
         options.platform = PlatformId::kEmbedded;
@@ -116,17 +133,15 @@ int main(int argc, char** argv) {
         Fail("unknown platform '" + *v + "'");
       }
     } else if (auto v = ArgValue(arg, "--timeout-ms")) {
-      timeout_ms = std::atoi(v->c_str());
+      if (!serde::ParseInt(*v, &timeout_ms) || timeout_ms <= 0) {
+        bad(arg, "an integer > 0");
+      }
     } else {
       Usage(argv[0]);
     }
   }
   if (out_path.empty() || (mode != "drive" && mode != "replay")) {
     Usage(argv[0]);
-  }
-  if (options.max_tenants <= 0 || options.num_events <= 0 ||
-      options.initial_budget <= 0.0) {
-    Fail("--tenants, --events, and --budget must be positive");
   }
 
   const ChurnScript script = MakeChurnScript(options);
