@@ -1,8 +1,8 @@
 // Dispatcher control-plane benchmark: worker grant-wait idle time with and without
 // lease pipelining, on the fake-slow in-process transport (delay_per_result makes
-// every unit cost a fixed wall time, and a deliberately long poll interval makes the
-// lease-request -> grant round trip expensive — the in-process stand-in for an
-// ssh-style transport's latency).
+// every unit cost a fixed wall time, and a delivery delay on every line sent to a
+// worker makes the lease-request -> grant round trip expensive — the in-process
+// stand-in for an ssh-style transport's latency).
 //
 // Without pipelining a worker pays that round trip at every lease boundary; with it
 // the next lease is already sitting in the worker's input queue when the current one
@@ -22,13 +22,17 @@ namespace alert {
 namespace {
 
 // Small but real: the units execute actual sweep work; the injected 6 ms floor per
-// unit dominates, so lease boundaries land at predictable times.
+// unit dominates, so lease boundaries land at predictable times.  Every worker's
+// first grant pays the delivery delay with or without pipelining, so the idle ratio
+// is bounded by leases per worker.  Warm leases close on replay rows (one deadline
+// of one cell and seed: 3 units here), so four seeds give 24 rows and each worker
+// about a dozen leases.
 SweepSpec BenchSpec() {
   SweepSpec spec;
   spec.cells.push_back(SweepCellSpec{TaskId::kImageClassification, PlatformId::kCpu1,
                                      ContentionType::kNone, GoalMode::kMinimizeEnergy});
   spec.schemes = {SchemeId::kAlert, SchemeId::kNoCoord};
-  spec.seeds = {1};
+  spec.seeds = {1, 2, 3, 4};
   spec.num_inputs = 30;
   spec.grid_indices = {0, 7, 14, 21, 28, 35};
   return spec;
@@ -45,14 +49,16 @@ double RunDispatchCase(bench::Harness& h, const SweepPlan& plan, bool pipeline,
       h.RunCase(pipeline ? "dispatch_pipelined" : "dispatch_request_grant", [&] {
         InProcessTransport::Options in_options;
         in_options.delay_per_result = {{0, 6}, {1, 6}};
+        // Each grant reaches its worker 10 ms after it is sent: real idle at every
+        // lease boundary unless the lease was prefetched.
+        in_options.delivery_delay_ms = 10;
         InProcessTransport transport(in_options);
         DispatchOptions options;
         options.num_workers = 2;
         options.pipeline_leases = pipeline;
-        // Two-unit leases force many boundaries; the 10 ms poll makes each
-        // request/grant round trip cost real idle when it is not prefetched away.
+        // Two-unit cold leases, then warm leases that end at their replay row: many
+        // lease boundaries.
         options.max_lease_units = 2;
-        options.poll_interval_ms = 10;
         // Stealing off: a steal would re-plan a lease mid-flight and add
         // revocation noise to the idle measurement.
         options.enable_steal = false;

@@ -12,6 +12,7 @@
 #   5. kill-the-dispatcher-then-resume: --crash-after exits nonzero mid-sweep, a
 #      rerun with the same --checkpoint-dir preseeds the surviving checkpoint and
 #      finishes; the resumed CSV is byte-compared to mono.csv on every transport,
+#      a checkpoint torn inside its last record resumes from the records before it,
 #      and a deliberately corrupted checkpoint must be a hard error, not a silent
 #      restart.
 # Socket-transport steps tee dispatcher stderr into ${WORK_DIR}/logs/ so CI can
@@ -185,6 +186,32 @@ run_step_expect_failure(resume_command_crash ${SWEEP_DISPATCH} ${resume_cmd_flag
 run_step_logged(resume_command ${SWEEP_DISPATCH} ${resume_cmd_flags}
                 --out=dispatched_resume_command.csv -v)
 compare_files(mono.csv dispatched_resume_command.csv)
+
+# Torn tail: a dispatcher killed mid-append leaves part of its last journal record.
+# Cut the checkpoint inside its last record; the resume must drop exactly that
+# record, keep every earlier one, and still produce the monolithic bytes.
+set(torn_flags --spec=spec.txt --workers=2 --transport=subprocess
+    --worker-bin=${SWEEP_SHARD} --worker-threads=2 --checkpoint-dir=ckpt_torn
+    --checkpoint-every=1)
+run_step_expect_failure(resume_torn_crash ${SWEEP_DISPATCH} ${torn_flags}
+                        --crash-after=6 --out=dispatched_resume_torn.csv -v)
+file(READ ${WORK_DIR}/ckpt_torn/checkpoint.sweep journal)
+string(LENGTH "${journal}" journal_len)
+math(EXPR before_last_newline "${journal_len} - 1")
+string(SUBSTRING "${journal}" 0 ${before_last_newline} journal_head)
+string(FIND "${journal_head}" "\n" last_record_start REVERSE)
+math(EXPR cut "(${last_record_start} + 1 + ${before_last_newline}) / 2")
+string(SUBSTRING "${journal}" 0 ${cut} torn_journal)
+file(WRITE ${WORK_DIR}/ckpt_torn/checkpoint.sweep "${torn_journal}")
+run_step_logged(resume_torn ${SWEEP_DISPATCH} ${torn_flags}
+                --out=dispatched_resume_torn.csv -v)
+compare_files(mono.csv dispatched_resume_torn.csv)
+# Five records were appended before the injected crash; the torn one is dropped.
+file(READ ${WORK_DIR}/logs/resume_torn.log torn_log)
+if(NOT torn_log MATCHES "resuming 4 checkpointed results")
+  message(FATAL_ERROR "dispatch_e2e: the torn-tail resume did not preseed exactly the "
+                      "4 whole records; log follows\n${torn_log}")
+endif()
 
 # A corrupted (truncated) checkpoint must be a loud refusal, never a silent restart.
 file(MAKE_DIRECTORY ${WORK_DIR}/ckpt_corrupt)

@@ -117,8 +117,9 @@ class RecordReader {
 // Whole-file helpers (I/O failures become Status errors, never aborts).
 Status ReadFile(const std::string& path, std::string* out);
 Status WriteFile(const std::string& path, std::string_view contents);
-// Crash-safe variant: writes `path`.tmp, fsyncs, then renames over `path`, so a
-// reader never observes a half-written file (checkpoints rely on this).
+// Crash-safe variant: writes `path`.tmp, then renames over `path`, so a reader never
+// observes a half-written file (checkpoints rely on this).  No fsync: the file
+// survives a killed process, not a lost machine.
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
 }  // namespace alert::serde

@@ -107,8 +107,8 @@ Child::~Child() {
   }
 }
 
-serde::Status Child::WriteLine(std::string_view line) {
-  return io_.WriteLine(line);
+serde::Status Child::WriteLines(std::string_view lines) {
+  return io_.WriteLines(lines);
 }
 
 void Child::CloseStdin() {

@@ -15,8 +15,8 @@
 // SIGPIPE (once) so that writing to a dead child surfaces as an EPIPE Status, not a
 // process kill.
 //
-// I/O: `WriteLine` appends '\n' and writes the whole line (short writes retried); it
-// fails once the child's stdin is closed.  `ReadLine` returns the next complete line
+// I/O: `WriteLines` writes one or more '\n'-terminated lines whole (short writes
+// retried); it fails once the child's stdin is closed.  `ReadLine` returns the next complete line
 // without its terminator, waiting up to `timeout_ms` (-1 = block indefinitely,
 // 0 = poll).  Readback is internally buffered; after the child exits, buffered lines
 // are still drained before kClosed is reported, so no output is lost.  A final
@@ -64,18 +64,19 @@ class Child {
   Child& operator=(const Child&) = delete;
   ~Child();
 
-  // Writes `line` plus a newline to the child's stdin.  Errors once the child has
-  // exited or closed its stdin (EPIPE), never raises SIGPIPE.
-  serde::Status WriteLine(std::string_view line);
+  // Writes `lines`, one or more lines each already ending in '\n', to the child's
+  // stdin in one write.  Errors once the child has exited or closed its stdin
+  // (EPIPE), never raises SIGPIPE.
+  serde::Status WriteLines(std::string_view lines);
 
-  // Closes the child's stdin (EOF for a line-loop worker); WriteLine fails afterwards.
+  // Closes the child's stdin (EOF for a line-loop worker); WriteLines fails afterwards.
   void CloseStdin();
 
   // Next complete line from the child's stdout.  timeout_ms < 0 blocks, 0 polls.
   ReadStatus ReadLine(int timeout_ms, std::string* out);
 
   // SIGKILLs the child's process group if the child is not yet reaped and closes
-  // its stdin, so WriteLine fails from here on (idempotent; does not reap).  Output
+  // its stdin, so WriteLines fails from here on (idempotent; does not reap).  Output
   // the child already wrote stays readable.  Kill alone is the stdin close: no
   // CloseStdin call is needed before it.
   void Kill();
@@ -85,6 +86,9 @@ class Child {
   int Wait();
 
   pid_t pid() const { return pid_; }
+  // The read end of the child's stdout: poll() it for readability to wait until
+  // ReadLine can make progress (a line, or EOF once the child exits).
+  int stdout_fd() const { return io_.read_fd(); }
 
  private:
   Child(pid_t pid, int stdin_fd, int stdout_fd);

@@ -1,5 +1,7 @@
 #include "src/harness/dispatch.h"
 
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -37,66 +39,105 @@ double ElapsedMsDouble(Clock::time_point since) {
   return std::chrono::duration<double, std::milli>(Clock::now() - since).count();
 }
 
-// Splits serialized block text into its lines (no empties; serializers never emit
-// blank lines or comments).
-std::vector<std::string> BlockLines(const std::string& text) {
-  std::vector<std::string> lines;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const size_t nl = text.find('\n', pos);
-    const size_t end = nl == std::string::npos ? text.size() : nl;
-    if (end > pos) {
-      lines.emplace_back(text, pos, end - pos);
-    }
-    pos = end + 1;
-  }
-  return lines;
-}
-
 // ----------------------------------------------------------------------------------
 // In-process transport: a worker thread per launch, in-memory line queues.
 
+// One direction of an in-process channel.  `wait_fd()` is an eventfd that is
+// readable exactly while a line is queued or the queue is closed: the queue raises
+// it on the empty -> non-empty transition and on Close, and clears it when a Pop
+// empties an open queue, all under the lock.  Lines pushed with a delay stay
+// invisible to Pop until it elapses; the fd ignores the delay, so only the
+// dispatcher-bound queue, which is never delayed, is polled.
 class LineQueue {
  public:
-  void Push(std::string line) {
+  LineQueue() : event_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+    ALERT_CHECK(event_fd_ >= 0);
+  }
+  ~LineQueue() { ::close(event_fd_); }
+  LineQueue(const LineQueue&) = delete;
+  LineQueue& operator=(const LineQueue&) = delete;
+
+  // Queues each non-empty '\n'-separated line of `lines`, readable after `delay`.
+  void Push(std::string_view lines, Clock::duration delay = {}) {
+    const Clock::time_point ready = Clock::now() + delay;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (closed_) {
-        return;  // receiver is gone; the line would never be read
+        return;  // receiver is gone; the lines would never be read
       }
-      lines_.push_back(std::move(line));
+      const bool was_empty = lines_.empty();
+      size_t pos = 0;
+      while (pos < lines.size()) {
+        const size_t end = std::min(lines.find('\n', pos), lines.size());
+        if (end > pos) {
+          lines_.push_back({ready, std::string(lines.substr(pos, end - pos))});
+        }
+        pos = end + 1;
+      }
+      if (was_empty && !lines_.empty()) {
+        Raise();
+      }
     }
-    cv_.notify_one();
+    cv_.notify_all();
   }
 
   ChannelRead Pop(int timeout_ms, std::string* out) {
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto ready = [this] { return !lines_.empty() || closed_; };
-    if (timeout_ms < 0) {
-      cv_.wait(lock, ready);
-    } else if (!ready()) {
-      cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), ready);
+    const Clock::time_point deadline =
+        timeout_ms < 0 ? Clock::time_point::max()
+                       : Clock::now() + std::chrono::milliseconds(timeout_ms);
+    for (;;) {
+      const Clock::time_point now = Clock::now();
+      if (!lines_.empty() && lines_.front().ready <= now) {
+        *out = std::move(lines_.front().line);
+        lines_.pop_front();
+        if (lines_.empty() && !closed_) {
+          uint64_t count = 0;
+          (void)!::read(event_fd_, &count, sizeof(count));
+        }
+        return ChannelRead::kLine;
+      }
+      if (lines_.empty() && closed_) {
+        return ChannelRead::kClosed;
+      }
+      if (now >= deadline) {
+        return ChannelRead::kTimeout;
+      }
+      if (lines_.empty() && timeout_ms < 0) {
+        cv_.wait(lock);
+      } else {
+        cv_.wait_until(lock, lines_.empty() ? deadline
+                                            : std::min(deadline, lines_.front().ready));
+      }
     }
-    if (!lines_.empty()) {
-      *out = std::move(lines_.front());
-      lines_.pop_front();
-      return ChannelRead::kLine;
-    }
-    return closed_ ? ChannelRead::kClosed : ChannelRead::kTimeout;
   }
 
   void Close() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       closed_ = true;
+      Raise();
     }
     cv_.notify_all();
   }
 
+  int wait_fd() const { return event_fd_; }
+
  private:
+  struct Line {
+    Clock::time_point ready;
+    std::string line;
+  };
+
+  void Raise() {
+    const uint64_t one = 1;
+    (void)!::write(event_fd_, &one, sizeof(one));
+  }
+
+  const int event_fd_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<std::string> lines_;
+  std::deque<Line> lines_;
   bool closed_ = false;
 };
 
@@ -124,7 +165,7 @@ class QueueWorkerLink final : public WorkerLink {
     return incoming_.Pop(0, line) == ChannelRead::kLine;
   }
   serde::Status WriteLine(std::string_view line) override {
-    outgoing_.Push(std::string(line));
+    outgoing_.Push(line);
     return serde::Ok();
   }
 
@@ -137,7 +178,8 @@ class QueueWorkerLink final : public WorkerLink {
 class InProcessChannel final : public WorkerChannel {
  public:
   InProcessChannel(const DispatchWorkerOptions& options,
-                   std::function<void()> before_first_grant) {
+                   std::function<void()> before_first_grant, int delivery_delay_ms)
+      : delivery_delay_(std::chrono::milliseconds(delivery_delay_ms)) {
     thread_ = std::thread([this, options, hook = std::move(before_first_grant)] {
       QueueWorkerLink link(to_worker_, from_worker_, hook);
       RunDispatchWorker(link, options);
@@ -147,16 +189,18 @@ class InProcessChannel final : public WorkerChannel {
 
   ~InProcessChannel() override { Close(); }
 
-  serde::Status Send(std::string_view line) override {
-    // A dead worker silently drops the line; the dispatcher notices via kClosed on
+  serde::Status Send(std::string_view lines) override {
+    // A dead worker silently drops the lines; the dispatcher notices via kClosed on
     // its next drain, exactly as with a dead subprocess.
-    to_worker_.Push(std::string(line));
+    to_worker_.Push(lines, delivery_delay_);
     return serde::Ok();
   }
 
   ChannelRead Recv(int timeout_ms, std::string* line) override {
     return from_worker_.Pop(timeout_ms, line);
   }
+
+  int wait_fd() const override { return from_worker_.wait_fd(); }
 
   void Close() override {
     to_worker_.Close();
@@ -167,6 +211,7 @@ class InProcessChannel final : public WorkerChannel {
   }
 
  private:
+  const Clock::duration delivery_delay_;
   LineQueue to_worker_;
   LineQueue from_worker_;
   std::thread thread_;
@@ -188,8 +233,8 @@ class ProcessChannel final : public WorkerChannel {
 
   ~ProcessChannel() override { Close(); }
 
-  serde::Status Send(std::string_view line) override {
-    return socket_ ? socket_->WriteLine(line) : child_->WriteLine(line);
+  serde::Status Send(std::string_view lines) override {
+    return socket_ ? socket_->WriteLines(lines) : child_->WriteLines(lines);
   }
 
   ChannelRead Recv(int timeout_ms, std::string* line) override {
@@ -203,6 +248,10 @@ class ProcessChannel final : public WorkerChannel {
         break;
     }
     return ChannelRead::kClosed;
+  }
+
+  int wait_fd() const override {
+    return socket_ ? socket_->read_fd() : child_->stdout_fd();
   }
 
   void Close() override {
@@ -246,7 +295,8 @@ serde::Status InProcessTransport::Launch(int worker_index,
   if (worker_index < options_.first_lease_barrier) {
     before_first_grant = [this] { AwaitFirstLeaseBarrier(); };
   }
-  *out = std::make_unique<InProcessChannel>(worker, std::move(before_first_grant));
+  *out = std::make_unique<InProcessChannel>(worker, std::move(before_first_grant),
+                                            options_.delivery_delay_ms);
   return serde::Ok();
 }
 
@@ -830,14 +880,14 @@ struct WorkerState {
 };
 
 // Everything a lease message needs that is constant per dispatch: the spec and each
-// snapshot's wire lines are serialized once here, then spliced into every lease —
+// snapshot's wire text are serialized once here, then spliced into every lease —
 // snapshots are the bulk of the payload and identical across leases.
 struct LeaseContext {
   const SweepPlan* plan;
-  std::vector<std::string> spec_lines;
-  // (task, platform, seed) -> the ready-to-send lines of its three snapshots
-  // (each: `snapshot-for` key line + profile-snapshot block).
-  std::map<std::tuple<int, int, uint64_t>, std::vector<std::string>> snapshot_lines;
+  std::string spec_text;
+  // (task, platform, seed) -> the ready-to-send text of its three snapshots (each:
+  // `snapshot-for` key line + profile-snapshot block).
+  std::map<std::tuple<int, int, uint64_t>, std::string> snapshot_text;
   uint64_t fingerprint = 0;
 
   void CacheSnapshots(const ProfileSnapshotStore& store) {
@@ -847,28 +897,27 @@ struct LeaseContext {
       snapshot_key.platform = static_cast<PlatformId>(std::get<1>(key));
       snapshot_key.seed = std::get<2>(key);
       snapshot_key.choice = static_cast<DnnSetChoice>(std::get<3>(key));
-      std::vector<std::string>& lines =
-          snapshot_lines[std::tuple<int, int, uint64_t>{
-              std::get<0>(key), std::get<1>(key), std::get<2>(key)}];
-      lines.push_back(SerializeSnapshotKey(snapshot_key));
-      for (std::string& body_line : BlockLines(SerializeProfileSnapshot(snapshot))) {
-        lines.push_back(std::move(body_line));
-      }
+      std::string& text = snapshot_text[std::tuple<int, int, uint64_t>{
+          std::get<0>(key), std::get<1>(key), std::get<2>(key)}];
+      text += SerializeSnapshotKey(snapshot_key);
+      text += '\n';
+      text += SerializeProfileSnapshot(snapshot);
     }
   }
 };
 
-// Sends one lease (grant + spec + the snapshots its units need + ids + lease-end).
-// A Send error means the worker is gone; the caller handles requeueing.
+// Sends one lease (grant + spec + the snapshots its units need + ids + lease-end) as
+// one message: one Send, so one write on a process transport instead of one TCP
+// segment per line.  A Send error means the worker is gone; the caller handles
+// requeueing.
 serde::Status SendLease(const LeaseContext& context, WorkerState& worker, int seq,
                         std::span<const int> ids) {
   const SweepPlan& plan = *context.plan;
-  std::map<std::tuple<int, int, uint64_t>, bool> triples;
+  std::set<std::tuple<int, int, uint64_t>> triples;
   for (const int id : ids) {
     const SweepUnit& unit = plan.units[static_cast<size_t>(id)];
-    triples[std::tuple<int, int, uint64_t>{static_cast<int>(unit.cell.task),
-                                           static_cast<int>(unit.cell.platform),
-                                           unit.seed}] = true;
+    triples.emplace(static_cast<int>(unit.cell.task),
+                    static_cast<int>(unit.cell.platform), unit.seed);
   }
 
   LeaseGrant header;
@@ -877,36 +926,27 @@ serde::Status SendLease(const LeaseContext& context, WorkerState& worker, int se
   header.num_units = static_cast<int>(ids.size());
   header.num_snapshots = static_cast<int>(triples.size()) * 3;
 
-  const auto send = [&](const std::string& line) {
-    return worker.channel->Send(line);
-  };
-  serde::Status s = send(SerializeLeaseGrant(header));
-  for (const std::string& line : context.spec_lines) {
-    if (!s) {
-      return s;
-    }
-    s = send(line);
-  }
-  for (const auto& [key, unused] : triples) {
-    const auto it = context.snapshot_lines.find(key);
-    ALERT_CHECK(it != context.snapshot_lines.end());  // CapturePlanSnapshots covers all
-    for (const std::string& line : it->second) {
-      if (!s) {
-        return s;
-      }
-      s = send(line);
-    }
+  std::string message = SerializeLeaseGrant(header);
+  message += '\n';
+  message += context.spec_text;
+  for (const auto& key : triples) {
+    const auto it = context.snapshot_text.find(key);
+    ALERT_CHECK(it != context.snapshot_text.end());  // CapturePlanSnapshots covers all
+    message += it->second;
   }
   for (const std::string& id_line : SerializeUnitIdLines(ids)) {
-    if (!s) {
-      return s;
-    }
-    s = send(id_line);
+    message += id_line;
+    message += '\n';
   }
-  if (s) {
-    s = send(SerializeLeaseEnd(seq));
-  }
-  return s;
+  message += SerializeLeaseEnd(seq);
+  message += '\n';
+  return worker.channel->Send(message);
+}
+
+// One protocol line as a Send payload.
+std::string Line(std::string line) {
+  line += '\n';
+  return line;
 }
 
 }  // namespace
@@ -949,7 +989,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
   context.plan = &plan;
   const ProfileSnapshotStore snapshots = CapturePlanSnapshots(plan);
   context.CacheSnapshots(snapshots);
-  context.spec_lines = BlockLines(SerializeSweepSpec(plan.spec));
+  context.spec_text = SerializeSweepSpec(plan.spec);
   context.fingerprint = PlanFingerprint(plan);
 
   SweepMergeAccumulator accumulator(plan);
@@ -965,36 +1005,37 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
       ++st.preseeded;
     }
   }
-  // Checkpointing: every recorded result, serialized whole and renamed into place.
-  // Small plans make rewriting the full set cheap; the atomic rename means a crash
-  // mid-write leaves the previous checkpoint intact.
-  int results_since_checkpoint = 0;
+  // Checkpointing: the journal starts as every preseeded result, written once and
+  // atomically; each newly merged result is then buffered and appended in batches of
+  // `checkpoint_every`.  A checkpoint that cannot be written is a loud dispatch
+  // failure, not a warning: the operator asked for crash durability and is not
+  // getting it.
+  SweepCheckpointJournal journal;
   int fresh_results = 0;  // newly recorded worker deliveries (crash-injection input)
-  const auto write_checkpoint = [&]() -> serde::Status {
-    if (options.checkpoint_path.empty()) {
-      return serde::Ok();
+  const auto flush_journal = [&]() -> serde::Status {
+    if (journal.pending() == 0) {
+      return serde::Ok();  // nothing buffered, or no checkpoint at all
     }
-    SweepCheckpoint checkpoint;
-    checkpoint.plan_fingerprint = context.fingerprint;
-    checkpoint.results = accumulator.RecordedResults();
-    const serde::Status s = serde::WriteFileAtomic(options.checkpoint_path,
-                                                   SerializeSweepCheckpoint(checkpoint));
+    const serde::Status s = journal.Flush();
     if (!s) {
-      // A checkpoint that cannot be written is a loud dispatch failure, not a
-      // warning: the operator asked for crash durability and is not getting it.
-      return serde::Wrap("checkpoint write", s);
+      return serde::Wrap("checkpoint append", s);
     }
     ++st.checkpoints_written;
-    results_since_checkpoint = 0;
     return serde::Ok();
   };
+  if (!options.checkpoint_path.empty()) {
+    SweepCheckpoint base;
+    base.plan_fingerprint = context.fingerprint;
+    base.results = accumulator.RecordedResults();
+    const serde::Status s = journal.Open(options.checkpoint_path, base);
+    if (!s) {
+      return finish(serde::Wrap("checkpoint write", s));
+    }
+    ++st.checkpoints_written;
+  }
 
   if (accumulator.complete()) {
     log("every unit preseeded; nothing to dispatch");
-    const serde::Status s = write_checkpoint();
-    if (!s) {
-      return finish(s);
-    }
     return finish(accumulator.Finalize(out));
   }
 
@@ -1254,7 +1295,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     }
     if (prefetch_victim != nullptr) {
       (void)prefetch_victim->channel->Send(
-          SerializeLeaseRevoke(prefetch_victim->prefetch_seq));
+          Line(SerializeLeaseRevoke(prefetch_victim->prefetch_seq)));
       const int stolen = requeue_prefetch(*prefetch_victim);
       ++st.lease_revocations;
       st.units_stolen += stolen;
@@ -1304,7 +1345,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     if (victim == nullptr) {
       return false;
     }
-    (void)victim->channel->Send(SerializeLeaseRevoke(victim->seq));
+    (void)victim->channel->Send(Line(SerializeLeaseRevoke(victim->seq)));
     const int stolen = requeue_unfinished(*victim);
     victim->mode = WorkerState::Mode::kRevoking;
     ++st.lease_revocations;
@@ -1361,20 +1402,20 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
         }
         if (newly) {
           ++fresh_results;
-          ++results_since_checkpoint;
-          // Crash injection fires *before* a coincident periodic write, like a real
-          // kill would: whatever the last completed checkpoint held is all a resume
-          // gets.
+          // Crash injection fires *before* a coincident append, like a real kill
+          // would: whatever the journal already held is all a resume gets.
           if (options.crash_after_results >= 0 &&
               fresh_results >= options.crash_after_results) {
             return serde::Error("injected dispatcher crash after " +
                                 std::to_string(fresh_results) + " results");
           }
-          if (!options.checkpoint_path.empty() && !accumulator.complete() &&
-              results_since_checkpoint >= std::max(1, options.checkpoint_every)) {
-            const serde::Status cs = write_checkpoint();
-            if (!cs) {
-              return cs;
+          if (!options.checkpoint_path.empty()) {
+            journal.Add(message.result);
+            if (journal.pending() >= std::max(1, options.checkpoint_every)) {
+              const serde::Status cs = flush_journal();
+              if (!cs) {
+                return cs;
+              }
             }
           }
         }
@@ -1439,6 +1480,58 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
                                " failed launches)"));
   }
 
+  // A working lease's straggler deadline.  Cost-scaled: a lease whose largest
+  // unmerged unit is predicted to run long gets proportionally more silence budget,
+  // so long units with heartbeats disabled do not trip a flat deadline.
+  const auto lease_deadline_ms = [&](const WorkerState& worker) {
+    double predicted_max = 0.0;
+    for (const int id : worker.assigned_ids) {
+      if (!accumulator.IsRecorded(id)) {
+        // The worker's *own* rate: a slow machine legitimately needs longer per
+        // unit, so its deadline stretches with its observed speed instead of the
+        // fleet average declaring it a straggler while healthy.
+        predicted_max = std::max(
+            predicted_max,
+            model.PredictMs(worker.launch_index,
+                            SweepUnitCost(plan.units[static_cast<size_t>(id)])));
+      }
+    }
+    return EffectiveLeaseDeadlineMs(options.straggler_deadline_ms,
+                                    options.straggler_cost_factor, predicted_max);
+  };
+
+  // Sleeps until a live channel has a line (or closed) or the nearest straggler,
+  // replacement or global deadline is due.  kMaxIdleWaitMs caps the sleep for the
+  // timers not tracked here — steal eligibility ages with the victim's lease.
+  constexpr int kMaxIdleWaitMs = 20;
+  std::vector<pollfd> wait_fds;
+  const auto wait_for_traffic = [&] {
+    int timeout_ms = kMaxIdleWaitMs;
+    const auto due_by = [&](Clock::time_point since, int budget_ms) {
+      timeout_ms = std::clamp(budget_ms - ElapsedMs(since) + 1, 0, timeout_ms);
+    };
+    if (options.global_deadline_ms > 0) {
+      due_by(start, options.global_deadline_ms);
+    }
+    wait_fds.clear();
+    for (const auto& worker_ptr : workers) {
+      const WorkerState& worker = *worker_ptr;
+      if (worker.mode == WorkerState::Mode::kDead) {
+        continue;
+      }
+      wait_fds.push_back(pollfd{worker.channel->wait_fd(), POLLIN, 0});
+      if (options.straggler_deadline_ms > 0 &&
+          worker.mode == WorkerState::Mode::kWorking) {
+        due_by(worker.last_activity, lease_deadline_ms(worker));
+      } else if (options.straggler_deadline_ms > 0 &&
+                 worker.mode == WorkerState::Mode::kIdle && !worker.wants_lease) {
+        due_by(worker.last_activity, options.straggler_deadline_ms);
+      }
+    }
+    // EINTR or a timeout simply ends the wait: the next pass re-derives everything.
+    (void)::poll(wait_fds.data(), wait_fds.size(), timeout_ms);
+  };
+
   std::string line;
   while (!accumulator.complete()) {
     bool progress = false;
@@ -1479,24 +1572,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
       }
       if (worker.mode == WorkerState::Mode::kWorking &&
           options.straggler_deadline_ms > 0) {
-        // Cost-scaled deadline: a lease whose largest unmerged unit is predicted to
-        // run long gets proportionally more silence budget, so long units with
-        // heartbeats disabled do not trip a flat deadline.
-        double predicted_max = 0.0;
-        for (const int id : worker.assigned_ids) {
-          if (!accumulator.IsRecorded(id)) {
-            // The worker's *own* rate: a slow machine legitimately needs longer per
-            // unit, so its deadline stretches with its observed speed instead of
-            // the fleet average declaring it a straggler while healthy.
-            predicted_max = std::max(
-                predicted_max,
-                model.PredictMs(worker.launch_index,
-                                SweepUnitCost(plan.units[static_cast<size_t>(id)])));
-          }
-        }
-        const int deadline = EffectiveLeaseDeadlineMs(
-            options.straggler_deadline_ms, options.straggler_cost_factor,
-            predicted_max);
+        const int deadline = lease_deadline_ms(worker);
         if (ElapsedMs(worker.last_activity) > deadline) {
           ++st.stragglers;
           log("worker " + std::to_string(worker.launch_index) +
@@ -1505,13 +1581,13 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
           // The undelivered prefetch goes first — its units are pure inventory and
           // must not sit on a silent worker.
           if (worker.prefetch_seq >= 0) {
-            (void)worker.channel->Send(SerializeLeaseRevoke(worker.prefetch_seq));
+            (void)worker.channel->Send(Line(SerializeLeaseRevoke(worker.prefetch_seq)));
             requeue_prefetch(worker);
             ++st.lease_revocations;
           }
           // Best-effort: a hung-but-alive worker stops between units, a dead one
           // never reads it.  Either way the units are requeued now.
-          (void)worker.channel->Send(SerializeLeaseRevoke(worker.seq));
+          (void)worker.channel->Send(Line(SerializeLeaseRevoke(worker.seq)));
           ++st.lease_revocations;
           requeue_unfinished(worker);
           // Not killed and not schedulable: late results still merge, but no new
@@ -1605,21 +1681,20 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
                                  " units unfinished"));
     }
     if (!progress) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::max(1, options.poll_interval_ms)));
+      wait_for_traffic();
     }
   }
 
   for (const auto& worker : workers) {
     if (worker->mode != WorkerState::Mode::kDead) {
-      (void)worker->channel->Send(std::string(kShutdownLine));
+      (void)worker->channel->Send(Line(std::string(kShutdownLine)));
     }
     worker->channel->Close();
   }
-  // The final, complete checkpoint: a resume after this point preseeds every unit
-  // and finalizes without launching a worker.
+  // The journal's tail: a resume after this point preseeds every unit and finalizes
+  // without launching a worker.
   {
-    const serde::Status s = write_checkpoint();
+    const serde::Status s = flush_journal();
     if (!s) {
       return finish(s);
     }

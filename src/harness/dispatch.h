@@ -96,11 +96,17 @@ enum class ChannelRead : int {
 class WorkerChannel {
  public:
   virtual ~WorkerChannel() = default;
-  // Queues one protocol line to the worker.  An error means the worker is gone; the
+  // Queues one or more whole protocol lines to the worker, each ending in '\n' — a
+  // whole lease goes out in one call.  An error means the worker is gone; the
   // dispatcher then requeues the lease elsewhere.
-  virtual serde::Status Send(std::string_view line) = 0;
+  virtual serde::Status Send(std::string_view lines) = 0;
   // Next line from the worker.  timeout_ms 0 polls, < 0 blocks.
   virtual ChannelRead Recv(int timeout_ms, std::string* line) = 0;
+  // An fd that poll() reports readable when Recv may return a line or the channel
+  // has closed: after Recv(0) times out, the dispatcher sleeps on these fds instead
+  // of a clock.  -1 means the channel cannot be waited on; the dispatcher then only
+  // wakes on its own bounded timeout.
+  virtual int wait_fd() const = 0;
   // Tears the worker down (kill the process / close the queues and join the thread).
   // Idempotent; called by the dispatcher on failure and at the end of every run.
   virtual void Close() = 0;
@@ -186,6 +192,10 @@ class InProcessTransport : public Transport {
     // lease" a property of the schedule rather than of thread timing.  Each gated
     // launch must be granted a lease, or its worker waits forever.
     int first_lease_barrier = 0;
+    // Lines the dispatcher sends become readable to the worker this long after the
+    // send — a stand-in for transport latency (bench_dispatch uses it to give the
+    // request/grant round trip a real cost).  0 delivers at once.
+    int delivery_delay_ms = 0;
   };
   InProcessTransport();  // default options
   explicit InProcessTransport(Options options);
@@ -327,17 +337,21 @@ struct DispatchOptions {
   bool pipeline_leases = false;
 
   // Checkpoint/resume of the merge accumulator.  When `checkpoint_path` is set, the
-  // dispatcher serializes every recorded result there (SerializeSweepCheckpoint,
-  // atomic rename) after every `checkpoint_every` newly merged results and again on
-  // completion, so a dispatcher crash costs at most `checkpoint_every` units of
-  // re-execution.  Resume = load the checkpoint into `preseeded_results` (the tool
-  // does this; fingerprint-mismatched or corrupt files are loud errors) — the
-  // preseed path already merges them first and never re-leases their ids.
+  // dispatcher writes the checkpoint journal there (SweepCheckpointJournal): the
+  // header and every preseeded result once, atomically, then one append of the
+  // pending records after every `checkpoint_every` newly merged results, plus one
+  // for the tail on completion.  Nothing is ever rewritten, so an append costs the
+  // new records only, and a dispatcher crash costs at most `checkpoint_every` units
+  // of re-execution.  Resume = load the checkpoint into `preseeded_results` (the
+  // tool does this; fingerprint-mismatched or corrupt files are loud errors, a torn
+  // last record is dropped) — the preseed path already merges them first and never
+  // re-leases their ids.
   std::string checkpoint_path;
-  int checkpoint_every = 16;
+  int checkpoint_every = 1;
   // Test/e2e hook: after this many *newly recorded* fresh-worker results the
-  // dispatch returns an error immediately — no final checkpoint, no accumulator
-  // drain — simulating a dispatcher killed mid-sweep.  -1 disables.
+  // dispatch returns an error immediately — the pending records are never appended,
+  // the accumulator is never drained — simulating a dispatcher killed mid-sweep.
+  // -1 disables.
   int crash_after_results = -1;
 
   // A worker with outstanding units that produces no line for its *effective*
@@ -355,7 +369,6 @@ struct DispatchOptions {
   int max_worker_launches = 0;
   // Wall-clock bound on the whole dispatch; 0 = unbounded.
   int global_deadline_ms = 600000;
-  int poll_interval_ms = 2;  // event-loop sleep when no channel has traffic
 
   // Results already known before any worker launches — e.g. cache hits from a
   // SweepResultCache (sweep_cache.h).  They enter the merge accumulator as
@@ -389,7 +402,7 @@ struct DispatchStats {
   int results_received = 0;   // result lines parsed (duplicates included)
   int duplicate_results = 0;  // redeliveries discarded by first-wins
   int preseeded = 0;          // results accepted from preseeded_results
-  int checkpoints_written = 0;  // periodic + final checkpoint files written
+  int checkpoints_written = 0;  // journal writes: the initial file plus each append
   double elapsed_ms = 0.0;    // wall time of the DispatchSweep call
   // Final fleet cost-model rate.  A never-seeded model reports NaN — not 0.0, which
   // is indistinguishable from a genuinely ~0 observed rate; check cost_model_seeded

@@ -1,6 +1,13 @@
 #include "src/harness/sweep_io.h"
 
+#include <errno.h>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <array>
 #include <cstdio>
+#include <cstring>
+#include <unordered_map>
 
 #include "src/common/check.h"
 
@@ -399,77 +406,175 @@ serde::Status ParseShardResults(std::string_view text, ShardResults* out) {
   return serde::Ok();
 }
 
+namespace {
+
+constexpr int kCheckpointVersion = 2;
+constexpr std::string_view kSumKey = " sum=";
+constexpr size_t kSumDigits = 16;
+
+// The checksum of a journal line's `body`: FNV-1a 64 as 16 lowercase hex digits
+// (plus the snprintf terminator).
+std::array<char, kSumDigits + 1> SumOf(std::string_view body) {
+  std::array<char, kSumDigits + 1> sum;
+  std::snprintf(sum.data(), sum.size(), "%016llx",
+                static_cast<unsigned long long>(serde::Fnv1a64(body)));
+  return sum;
+}
+
+// `body` + " sum=" + SumOf(body) + '\n': one checksummed journal line.
+void AppendChecksummed(std::string_view body, std::string* out) {
+  out->append(body);
+  out->append(kSumKey);
+  out->append(SumOf(body).data(), kSumDigits);
+  out->push_back('\n');
+}
+
+// Verifies a journal line's trailing checksum against its raw bytes and returns the
+// body before it.
+Status SplitChecksummed(std::string_view line, std::string_view* body) {
+  const size_t tail = kSumKey.size() + kSumDigits;
+  if (line.size() < tail || line.substr(line.size() - tail, kSumKey.size()) != kSumKey) {
+    return serde::Error("missing checksum");
+  }
+  *body = line.substr(0, line.size() - tail);
+  if (line.substr(line.size() - kSumDigits) !=
+      std::string_view(SumOf(*body).data(), kSumDigits)) {
+    return serde::Error("checksum mismatch");
+  }
+  return serde::Ok();
+}
+
+Status ParseCheckpointHeader(std::string_view line, uint64_t* plan_fingerprint) {
+  if (line.starts_with("sweep-checkpoint v=1 ")) {
+    return serde::Error(
+        "checkpoint grammar v=1 (whole-file rewrites) is no longer read");
+  }
+  std::string_view body;
+  Status s = SplitChecksummed(line, &body);
+  RecordReader reader;
+  if (s) {
+    s = RecordReader::Parse(body, &reader);
+  }
+  if (s) {
+    s = reader.ExpectTag("sweep-checkpoint");
+  }
+  int version = 0;
+  if (s) {
+    s = reader.Get("v", &version);
+  }
+  if (s && version != kCheckpointVersion) {
+    s = serde::Error("unsupported checkpoint version " + std::to_string(version));
+  }
+  if (s) {
+    s = reader.Get("plan", plan_fingerprint);
+  }
+  if (s) {
+    s = reader.ExpectAllConsumed();
+  }
+  return s;
+}
+
+}  // namespace
+
 std::string SerializeSweepCheckpoint(const SweepCheckpoint& checkpoint) {
   std::string text;
-  text += RecordWriter("sweep-checkpoint")
-              .Field("v", kFormatVersion)
-              .Field("plan", checkpoint.plan_fingerprint)
-              .Field("units", static_cast<int>(checkpoint.results.size()))
-              .line();
-  text += '\n';
+  AppendChecksummed(RecordWriter("sweep-checkpoint")
+                        .Field("v", kCheckpointVersion)
+                        .Field("plan", checkpoint.plan_fingerprint)
+                        .line(),
+                    &text);
   for (const SweepUnitResult& result : checkpoint.results) {
-    text += SerializeSweepUnitResult(result);
-    text += '\n';
+    AppendChecksummed(SerializeSweepUnitResult(result), &text);
   }
-  text += "end\n";
   return text;
 }
 
 serde::Status ParseSweepCheckpoint(std::string_view text, SweepCheckpoint* out) {
   *out = SweepCheckpoint{};
-  const std::vector<std::string_view> lines = serde::DataLines(text);
-  if (lines.empty()) {
-    return serde::Error("empty checkpoint file");
+  // Whatever follows the last '\n' is a torn tail: a record the dispatcher was
+  // killed while appending.  Everything before it must be whole.
+  const size_t last_newline = text.rfind('\n');
+  if (last_newline == std::string_view::npos) {
+    return serde::Error("checkpoint has no complete header line");
   }
-  RecordReader reader;
-  Status s = RecordReader::Parse(lines[0], &reader);
-  if (s) {
-    s = reader.ExpectTag("sweep-checkpoint");
-  }
-  if (s) {
-    s = CheckVersion(reader);
-  }
-  int declared_units = 0;
-  if (s) {
-    s = reader.Get("plan", &out->plan_fingerprint);
-  }
-  if (s) {
-    s = reader.Get("units", &declared_units);
-  }
-  if (s && declared_units < 0) {
-    s = serde::Error("negative unit count");
-  }
-  if (s) {
-    s = reader.ExpectAllConsumed();
-  }
-  if (!s) {
-    return serde::Wrap("checkpoint header", s);
-  }
+  text = text.substr(0, last_newline + 1);
 
-  bool saw_end = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (saw_end) {
-      return serde::Error("content after 'end'");
-    }
-    if (lines[i] == "end") {
-      saw_end = true;
+  std::unordered_map<int, size_t> index_of;  // unit id -> position in out->results
+  size_t line_start = 0;
+  for (int line_number = 1; line_start < text.size(); ++line_number) {
+    const size_t line_end = text.find('\n', line_start);
+    const std::string_view line = text.substr(line_start, line_end - line_start);
+    line_start = line_end + 1;
+    const std::string where = "checkpoint line " + std::to_string(line_number);
+    if (line_number == 1) {
+      const Status s = ParseCheckpointHeader(line, &out->plan_fingerprint);
+      if (!s) {
+        return serde::Wrap(where, s);
+      }
       continue;
     }
+    std::string_view body;
     SweepUnitResult result;
-    s = ParseSweepUnitResult(lines[i], &result);
-    if (!s) {
-      return serde::Wrap("checkpoint line " + std::to_string(i + 1), s);
+    Status s = SplitChecksummed(line, &body);
+    if (s) {
+      s = ParseSweepUnitResult(body, &result);
     }
-    out->results.push_back(result);
+    if (!s) {
+      return serde::Wrap(where, s);
+    }
+    const auto [it, inserted] = index_of.try_emplace(result.unit_id, out->results.size());
+    if (inserted) {
+      out->results.push_back(result);
+    } else if (!(out->results[it->second] == result)) {
+      return serde::Error(where + ": unit " + std::to_string(result.unit_id) +
+                          " recorded twice with different results");
+    }
   }
-  if (!saw_end) {
-    return serde::Error("checkpoint missing 'end' (truncated file?)");
+  return serde::Ok();
+}
+
+SweepCheckpointJournal::~SweepCheckpointJournal() {
+  if (fd_ >= 0) {
+    ::close(fd_);
   }
-  if (static_cast<int>(out->results.size()) != declared_units) {
-    return serde::Error("checkpoint header declares " + std::to_string(declared_units) +
-                        " units but file carries " +
-                        std::to_string(out->results.size()));
+}
+
+serde::Status SweepCheckpointJournal::Open(const std::string& path,
+                                           const SweepCheckpoint& base) {
+  ALERT_CHECK(fd_ < 0);
+  serde::Status s = serde::WriteFileAtomic(path, SerializeSweepCheckpoint(base));
+  if (!s) {
+    return s;
   }
+  fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd_ < 0) {
+    return serde::Error("cannot open '" + path + "' for appending: " +
+                        std::strerror(errno));
+  }
+  path_ = path;
+  return serde::Ok();
+}
+
+void SweepCheckpointJournal::Add(const SweepUnitResult& result) {
+  AppendChecksummed(SerializeSweepUnitResult(result), &pending_);
+  ++pending_records_;
+}
+
+serde::Status SweepCheckpointJournal::Flush() {
+  ALERT_CHECK(fd_ >= 0);
+  size_t written = 0;
+  while (written < pending_.size()) {
+    const ssize_t n = ::write(fd_, pending_.data() + written, pending_.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return serde::Error("cannot append to '" + path_ + "': " + std::strerror(errno));
+    }
+    written += static_cast<size_t>(n);
+  }
+  pending_.clear();
+  pending_records_ = 0;
   return serde::Ok();
 }
 

@@ -66,11 +66,22 @@ struct ShardResults {
 std::string SerializeShardResults(const ShardResults& shard);
 serde::Status ParseShardResults(std::string_view text, ShardResults* out);
 
-// A dispatcher checkpoint: the merge accumulator's recorded unit results at some
-// point mid-sweep, fingerprint-guarded so a checkpoint from a different plan is
-// rejected at resume time instead of silently poisoning the merge.  Written via
-// serde::WriteFileAtomic, so a dispatcher killed mid-write leaves either the old
-// complete checkpoint or the new one — never a torn file.
+// A dispatcher checkpoint: an append-only journal of the merge accumulator's
+// recorded unit results, fingerprint-guarded so a checkpoint from a different plan is
+// rejected at resume time instead of silently poisoning the merge.
+//
+// Grammar (one record per '\n'-terminated line):
+//   sweep-checkpoint v=2 plan=FP sum=HEX
+//   result unit=ID skipped=B usable=B [metric=X] sum=HEX      (repeated)
+// A result record is the result line (SerializeSweepUnitResult) plus `sum`: the
+// FNV-1a 64 of every byte before " sum=", as 16 lowercase hex digits.  The checksum
+// is required because a `%.17g` metric cut short still parses as a number.
+//
+// Read rule: an unterminated last line is a torn tail — a dispatcher killed
+// mid-append — and is dropped.  Every '\n'-terminated line must parse and verify, or
+// the file is refused.  A unit id recorded twice must carry the same payload (the
+// repeat is dropped); a differing duplicate is refused, as is the old
+// `sweep-checkpoint v=1` whole-file grammar.
 struct SweepCheckpoint {
   uint64_t plan_fingerprint = 0;
   std::vector<SweepUnitResult> results;
@@ -78,11 +89,33 @@ struct SweepCheckpoint {
   friend bool operator==(const SweepCheckpoint&, const SweepCheckpoint&) = default;
 };
 
+// The compacted journal: the header plus one record per result, in order.
 std::string SerializeSweepCheckpoint(const SweepCheckpoint& checkpoint);
-// Strict: truncation (missing 'end'), trailing content, and a declared-count
-// mismatch are loud errors — a corrupt checkpoint must never silently degrade
-// into an empty resume.
 serde::Status ParseSweepCheckpoint(std::string_view text, SweepCheckpoint* out);
+
+// The dispatcher's handle on a checkpoint journal.  Open writes the header and the
+// base records once (serde::WriteFileAtomic) and keeps the file open; Add buffers
+// one record; Flush appends every buffered record in one write().  There is no
+// fsync: the journal survives a killed dispatcher, not a lost machine.  Records
+// still buffered when the journal is destroyed are dropped, as a crash would.
+class SweepCheckpointJournal {
+ public:
+  SweepCheckpointJournal() = default;
+  ~SweepCheckpointJournal();
+  SweepCheckpointJournal(const SweepCheckpointJournal&) = delete;
+  SweepCheckpointJournal& operator=(const SweepCheckpointJournal&) = delete;
+
+  serde::Status Open(const std::string& path, const SweepCheckpoint& base);
+  void Add(const SweepUnitResult& result);
+  int pending() const { return pending_records_; }
+  serde::Status Flush();
+
+ private:
+  int fd_ = -1;
+  std::string path_;
+  std::string pending_;
+  int pending_records_ = 0;
+};
 
 std::string SerializeProfileSnapshot(const ProfileSnapshot& snapshot);
 serde::Status ParseProfileSnapshot(std::string_view text, ProfileSnapshot* out);

@@ -18,8 +18,8 @@ TEST(SubprocessTest, EchoRoundTrip) {
   const serde::Status s = Child::SpawnShell("while read l; do echo \"got:$l\"; done", &child);
   ASSERT_TRUE(s.ok) << s.message;
 
-  ASSERT_TRUE(child->WriteLine("hello").ok);
-  ASSERT_TRUE(child->WriteLine("world").ok);
+  ASSERT_TRUE(child->WriteLines("hello\n").ok);
+  ASSERT_TRUE(child->WriteLines("world\n").ok);
   std::string line;
   ASSERT_EQ(child->ReadLine(5000, &line), ReadStatus::kLine);
   EXPECT_EQ(line, "got:hello");
@@ -49,7 +49,7 @@ TEST(SubprocessTest, ZeroTimeoutPollsWithoutBlocking) {
   std::string line;
   // Nothing written yet: a poll must come back immediately with kTimeout.
   EXPECT_EQ(child->ReadLine(0, &line), ReadStatus::kTimeout);
-  ASSERT_TRUE(child->WriteLine("go").ok);
+  ASSERT_TRUE(child->WriteLines("go\n").ok);
   ASSERT_EQ(child->ReadLine(5000, &line), ReadStatus::kLine);
   EXPECT_EQ(line, "done");
 }
@@ -96,9 +96,9 @@ TEST(SubprocessTest, KillTerminatesAndWriteAfterDeathIsAStatusError) {
   EXPECT_TRUE(WIFSIGNALED(status));
   // The pipe may take one write to observe EPIPE; either write must fail, and the
   // process (us) must survive it — SIGPIPE is ignored.
-  serde::Status s = child->WriteLine("after death");
+  serde::Status s = child->WriteLines("after death\n");
   if (s.ok) {
-    s = child->WriteLine("after death 2");
+    s = child->WriteLines("after death 2\n");
   }
   EXPECT_FALSE(s.ok);
 }

@@ -8,6 +8,7 @@
 #include "src/harness/dispatch.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <algorithm>
 #include <climits>
@@ -925,6 +926,7 @@ class DeadChannel : public WorkerChannel {
  public:
   serde::Status Send(std::string_view) override { return serde::Ok(); }
   ChannelRead Recv(int, std::string*) override { return ChannelRead::kClosed; }
+  int wait_fd() const override { return -1; }
   void Close() override {}
 };
 
@@ -947,6 +949,63 @@ TEST_F(DispatchTest, ExhaustedLaunchBudgetIsAnErrorNotAHang) {
   EXPECT_FALSE(s.ok);
   EXPECT_NE(s.message.find("launch budget"), std::string::npos);
   EXPECT_EQ(stats.workers_launched, 5);
+}
+
+// --- the channel wait primitive -----------------------------------------------------
+
+// Whether `fd` is readable, waiting at most `wait_ms` (-1: until it is).
+bool Readable(int fd, int wait_ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, wait_ms) == 1;
+}
+
+// The hang guard for "eventually readable" waits: generous, only a broken wait_fd
+// comes near it.
+constexpr int kLivenessMs = 60000;
+
+TEST(ChannelWaitTest, InProcessFdTracksQueuedLinesAndClose) {
+  InProcessTransport transport;
+  std::unique_ptr<WorkerChannel> channel;
+  ASSERT_TRUE(transport.Launch(0, &channel).ok);
+  const int fd = channel->wait_fd();
+  ASSERT_GE(fd, 0);
+  // The worker says hello and asks for a lease, then blocks on its input.
+  std::string line;
+  for (const char* expected : {"worker-hello", "lease-request"}) {
+    ASSERT_TRUE(Readable(fd, kLivenessMs)) << "waiting for " << expected;
+    ASSERT_EQ(channel->Recv(0, &line), ChannelRead::kLine);
+    EXPECT_TRUE(line.starts_with(expected)) << line;
+  }
+  // Drained, and the worker is silent until it hears from the dispatcher.
+  EXPECT_FALSE(Readable(fd, 0));
+  EXPECT_EQ(channel->Recv(0, &line), ChannelRead::kTimeout);
+
+  // A malformed grant: the worker answers with worker-error (a Push) and exits (the
+  // Close).  Readable must mean Recv makes progress each time.
+  ASSERT_TRUE(channel->Send("lease-grant bogus=1\n").ok);
+  ASSERT_TRUE(Readable(fd, kLivenessMs));
+  ASSERT_EQ(channel->Recv(0, &line), ChannelRead::kLine);
+  EXPECT_TRUE(line.starts_with("worker-error")) << line;
+  ASSERT_TRUE(Readable(fd, kLivenessMs));
+  EXPECT_EQ(channel->Recv(0, &line), ChannelRead::kClosed);
+  EXPECT_TRUE(Readable(fd, 0)) << "a closed channel stays readable";
+  channel->Close();
+}
+
+TEST(ChannelWaitTest, ProcessFdBecomesReadableWhenTheWorkerExits) {
+  // A "worker" that waits for one input line and exits without output.
+  SubprocessTransport transport(
+      [](int) { return std::vector<std::string>{"/bin/sh", "-c", "read line"}; });
+  std::unique_ptr<WorkerChannel> channel;
+  ASSERT_TRUE(transport.Launch(0, &channel).ok);
+  const int fd = channel->wait_fd();
+  ASSERT_GE(fd, 0);
+  EXPECT_FALSE(Readable(fd, 0)) << "alive and silent";
+  ASSERT_TRUE(channel->Send("go\n").ok);
+  ASSERT_TRUE(Readable(fd, kLivenessMs));
+  std::string line;
+  EXPECT_EQ(channel->Recv(0, &line), ChannelRead::kClosed);
+  channel->Close();
 }
 
 // --- worker-side protocol validation -----------------------------------------------

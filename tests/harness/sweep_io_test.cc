@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "src/harness/experiment.h"
 
 namespace alert {
@@ -236,7 +238,9 @@ TEST(SweepCheckpointSerdeTest, EmptyCheckpointRoundTrips) {
 
 TEST(SweepCheckpointSerdeTest, CorruptAndTruncatedFilesAreStatusErrors) {
   // Resume must never silently restart from zero: every corruption shape a killed
-  // box can leave behind (or an operator can cause) is a loud parse error.
+  // box can leave behind (or an operator can cause) before the torn tail is a loud
+  // parse error.  Truncation inside the last record is the one recoverable shape;
+  // SweepCheckpointJournalTest covers it at every byte offset.
   SweepCheckpoint checkpoint;
   checkpoint.plan_fingerprint = 42;
   checkpoint.results.push_back(SweepUnitResult{.unit_id = 0});
@@ -245,24 +249,14 @@ TEST(SweepCheckpointSerdeTest, CorruptAndTruncatedFilesAreStatusErrors) {
 
   SweepCheckpoint out;
   EXPECT_FALSE(ParseSweepCheckpoint("", &out).ok) << "empty file";
-  // Truncated mid-write: no 'end' marker.
-  const serde::Status truncated =
-      ParseSweepCheckpoint(good.substr(0, good.size() - 4), &out);
-  EXPECT_FALSE(truncated.ok);
-  EXPECT_NE(truncated.message.find("truncated"), std::string::npos);
-  // Truncated harder: a result line lost too.
-  EXPECT_FALSE(
-      ParseSweepCheckpoint(good.substr(0, good.rfind("result")), &out).ok);
-  // Header count disagrees with the body.
-  std::string wrong_count = good;
-  wrong_count.replace(wrong_count.find("units=2"), 7, "units=3");
-  EXPECT_FALSE(ParseSweepCheckpoint(wrong_count, &out).ok);
-  // Garbage appended after 'end'.
+  // A header cut short: no complete line at all.
+  EXPECT_FALSE(ParseSweepCheckpoint(good.substr(0, good.find('\n')), &out).ok);
+  // A whole, terminated line appended after the records that does not verify.
   EXPECT_FALSE(
       ParseSweepCheckpoint(good + "result unit=9 skipped=0 usable=0\n", &out).ok);
   // Wrong version.
   std::string wrong_version = good;
-  wrong_version.replace(wrong_version.find("v=1"), 3, "v=9");
+  wrong_version.replace(wrong_version.find("v=2"), 3, "v=9");
   EXPECT_FALSE(ParseSweepCheckpoint(wrong_version, &out).ok);
   // A corrupted result line (bit-rot inside the body).
   std::string corrupt = good;
@@ -270,6 +264,109 @@ TEST(SweepCheckpointSerdeTest, CorruptAndTruncatedFilesAreStatusErrors) {
   EXPECT_FALSE(ParseSweepCheckpoint(corrupt, &out).ok);
   // Not a checkpoint at all.
   EXPECT_FALSE(ParseSweepCheckpoint("shard-results v=1\nend\n", &out).ok);
+}
+
+// --- the append-only checkpoint journal ---------------------------------------------
+
+SweepCheckpoint ExampleCheckpoint() {
+  SweepCheckpoint checkpoint;
+  checkpoint.plan_fingerprint = 13678292389700777394ull;
+  checkpoint.results.push_back(
+      SweepUnitResult{.unit_id = 4, .usable = true, .metric = 0.83769326123830135});
+  checkpoint.results.push_back(SweepUnitResult{.unit_id = 0, .skipped = true});
+  checkpoint.results.push_back(SweepUnitResult{.unit_id = 9});
+  checkpoint.results.push_back(
+      SweepUnitResult{.unit_id = 2, .usable = true, .metric = 1.2500000000000002});
+  return checkpoint;
+}
+
+TEST(SweepCheckpointJournalTest, TruncatingInsideTheLastRecordParsesToTheOthers) {
+  // A dispatcher killed mid-append leaves a prefix of its last record: every such
+  // prefix — including the whole record without its '\n' — is a torn tail that is
+  // dropped, and every record before it survives.
+  const SweepCheckpoint full = ExampleCheckpoint();
+  const std::string text = SerializeSweepCheckpoint(full);
+  SweepCheckpoint others = full;
+  others.results.pop_back();
+  const size_t last_record = text.rfind('\n', text.size() - 2) + 1;
+  for (size_t cut = last_record; cut < text.size(); ++cut) {
+    SweepCheckpoint parsed;
+    const serde::Status s = ParseSweepCheckpoint(text.substr(0, cut), &parsed);
+    ASSERT_TRUE(s.ok) << "cut at byte " << cut << ": " << s.message;
+    EXPECT_EQ(parsed, others) << "cut at byte " << cut;
+  }
+  SweepCheckpoint parsed;
+  ASSERT_TRUE(ParseSweepCheckpoint(text, &parsed).ok);
+  EXPECT_EQ(parsed, full);
+}
+
+TEST(SweepCheckpointJournalTest, FlippingAnyByteBeforeTheLastRecordIsRefused) {
+  // Only the tail may be torn: a changed byte anywhere in the header or a complete
+  // earlier record — a digit of a metric, a key, a checksum, a line break — must
+  // fail the checksum or the grammar, never parse to different results.
+  const std::string text = SerializeSweepCheckpoint(ExampleCheckpoint());
+  const size_t last_record = text.rfind('\n', text.size() - 2) + 1;
+  for (size_t i = 0; i < last_record; ++i) {
+    for (const unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(static_cast<unsigned char>(flipped[i]) ^ mask);
+      SweepCheckpoint parsed;
+      EXPECT_FALSE(ParseSweepCheckpoint(flipped, &parsed).ok)
+          << "byte " << i << " ^ " << static_cast<int>(mask) << " parsed";
+    }
+  }
+}
+
+TEST(SweepCheckpointJournalTest, ADifferingDuplicateIsRefused) {
+  SweepCheckpoint checkpoint = ExampleCheckpoint();
+  SweepCheckpoint parsed;
+  // Recording a unit twice with the same payload is harmless (first-wins merge).
+  checkpoint.results.push_back(checkpoint.results.front());
+  ASSERT_TRUE(ParseSweepCheckpoint(SerializeSweepCheckpoint(checkpoint), &parsed).ok);
+  EXPECT_EQ(parsed, ExampleCheckpoint());
+  // A different payload for a recorded unit is a determinism violation.
+  checkpoint.results.back().metric = 0.5;
+  const serde::Status s =
+      ParseSweepCheckpoint(SerializeSweepCheckpoint(checkpoint), &parsed);
+  EXPECT_FALSE(s.ok);
+  EXPECT_NE(s.message.find("recorded twice"), std::string::npos) << s.message;
+}
+
+TEST(SweepCheckpointJournalTest, TheV1WholeFileGrammarIsRefused) {
+  const std::string v1 =
+      "sweep-checkpoint v=1 plan=42 units=1\n"
+      "result unit=0 skipped=0 usable=0\n"
+      "end\n";
+  SweepCheckpoint parsed;
+  const serde::Status s = ParseSweepCheckpoint(v1, &parsed);
+  EXPECT_FALSE(s.ok);
+  EXPECT_NE(s.message.find("v=1"), std::string::npos) << s.message;
+}
+
+TEST(SweepCheckpointJournalTest, AppendsReadBackAsOneCheckpoint) {
+  // Open writes the base, each Flush appends the buffered records, and records
+  // still buffered when the journal goes away are lost — a crash, not a rewrite.
+  const std::string path = ::testing::TempDir() + "/sweep_io_journal.ckpt";
+  SweepCheckpoint base = ExampleCheckpoint();
+  const SweepUnitResult appended{.unit_id = 7, .usable = true, .metric = 3.0};
+  const SweepUnitResult lost{.unit_id = 8};
+  {
+    SweepCheckpointJournal journal;
+    ASSERT_TRUE(journal.Open(path, base).ok);
+    journal.Add(appended);
+    EXPECT_EQ(journal.pending(), 1);
+    ASSERT_TRUE(journal.Flush().ok);
+    EXPECT_EQ(journal.pending(), 0);
+    journal.Add(lost);
+  }
+  std::string text;
+  ASSERT_TRUE(serde::ReadFile(path, &text).ok);
+  SweepCheckpoint parsed;
+  ASSERT_TRUE(ParseSweepCheckpoint(text, &parsed).ok);
+  base.results.push_back(appended);
+  EXPECT_EQ(parsed, base);
+  EXPECT_EQ(text, SerializeSweepCheckpoint(base));  // the journal is the compacted form
+  std::remove(path.c_str());
 }
 
 TEST(ProfileSnapshotSerdeTest, RoundTripFromARealConfigSpace) {

@@ -59,12 +59,18 @@ int main(int argc, char** argv) {
   AlertdOptions options;
   std::string port_file;
 
+  // Numbers are parsed strictly (whole token, finite) and range-checked here: a
+  // malformed value is a usage error (exit 2), not a failed run (exit 1).
+  const auto bad_flag = [&](const char* flag, const char* what, const std::string& v) {
+    std::fprintf(stderr, "alertd: %s must be %s, got '%s'\n", flag, what, v.c_str());
+    Usage(argv[0]);
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (auto v = ArgValue(arg, "--port")) {
-      // The range (0-65535) is checked where the port is bound.
-      if (!serde::ParseInt(*v, &options.port)) {
-        Fail("--port must be an integer, got '" + *v + "'");
+      if (!serde::ParseInt(*v, &options.port) || options.port < 0 ||
+          options.port > 65535) {
+        bad_flag("--port", "an integer in 0-65535", *v);
       }
     } else if (auto v = ArgValue(arg, "--port-file")) {
       port_file = *v;
@@ -72,7 +78,7 @@ int main(int argc, char** argv) {
       // ParseDouble refuses nan and inf, which would poison the budget split.
       if (!serde::ParseDouble(*v, &options.total_power_budget) ||
           options.total_power_budget <= 0.0) {
-        Fail("--budget must be a finite number > 0, got '" + *v + "'");
+        bad_flag("--budget", "a finite number > 0", *v);
       }
     } else if (auto v = ArgValue(arg, "--platform")) {
       if (*v == "embedded") {

@@ -68,13 +68,14 @@ namespace {
       "  --pipeline-leases      send each worker its next lease while the current\n"
       "                         one drains (hides the request/grant round trip on\n"
       "                         ssh-style transports)\n"
-      "  --checkpoint-dir=DIR   periodically checkpoint merged results to\n"
-      "                         DIR/checkpoint.sweep (atomic rename); on startup an\n"
-      "                         existing checkpoint for this plan is preseeded, so a\n"
-      "                         killed dispatch resumes with only unfinished units.\n"
-      "                         A corrupt or wrong-plan checkpoint is a hard error\n"
-      "  --checkpoint-every=N   checkpoint after every N newly merged results\n"
-      "                         (default 16)\n"
+      "  --checkpoint-dir=DIR   journal merged results to DIR/checkpoint.sweep\n"
+      "                         (append-only); on startup an existing checkpoint for\n"
+      "                         this plan is preseeded, so a killed dispatch resumes\n"
+      "                         with only unfinished units.  A torn last record is\n"
+      "                         dropped; any other corruption or a wrong-plan\n"
+      "                         checkpoint is a hard error\n"
+      "  --checkpoint-every=N   append to the checkpoint after every N newly merged\n"
+      "                         results (default 1)\n"
       "  --stats                print a dispatch-stats record (incl. per-worker\n"
       "                         ms-per-cost rates and total grant-wait idle time) to\n"
       "                         stdout after the sweep\n"
@@ -117,25 +118,6 @@ std::optional<std::string> ArgValue(const char* arg, const char* name) {
     return std::string(arg + len + 1);
   }
   return std::nullopt;
-}
-
-int ParseIntOrDie(const std::string& value, const char* flag) {
-  int out = 0;
-  const serde::Status s = serde::ParseInt(value, &out);
-  if (!s) {
-    Fail(std::string(flag) + ": " + s.message);
-  }
-  return out;
-}
-
-// "I:N" -> (I, N) for the injection flags.
-std::pair<int, int> ParseIndexCount(const std::string& value, const char* flag) {
-  const size_t colon = value.find(':');
-  if (colon == std::string::npos) {
-    Fail(std::string(flag) + ": expected I:N, got '" + value + "'");
-  }
-  return {ParseIntOrDie(value.substr(0, colon), flag),
-          ParseIntOrDie(value.substr(colon + 1), flag)};
 }
 
 void ExpandToken(std::string* text, const std::string& token,
@@ -201,12 +183,43 @@ int main(int argc, char** argv) {
   std::set<int> inject_dup;
   int heartbeat_ms = 5000;
 
+  // Numbers are parsed strictly (whole token, finite) and range-checked here: a
+  // malformed value is a usage error (exit 2), not a failed run (exit 1).
+  const auto bad_flag = [&](const char* flag, const std::string& what,
+                            const std::string& value) {
+    std::fprintf(stderr, "sweep_dispatch: %s: expected %s, got '%s'\n", flag,
+                 what.c_str(), value.c_str());
+    Usage(argv[0]);
+  };
+  const auto int_flag = [&](const std::string& value, const char* flag, int min) {
+    int out = 0;
+    if (!serde::ParseInt(value, &out) || out < min) {
+      bad_flag(flag, "an integer >= " + std::to_string(min), value);
+    }
+    return out;
+  };
+  const auto double_flag = [&](const std::string& value, const char* flag) {
+    double out = 0.0;
+    if (!serde::ParseDouble(value, &out) || out < 0.0) {
+      bad_flag(flag, "a finite number >= 0", value);
+    }
+    return out;
+  };
+  // "I:N" -> (I, N) for the injection flags; both non-negative.
+  const auto index_count_flag = [&](const std::string& value, const char* flag) {
+    const size_t colon = value.find(':');
+    if (colon == std::string::npos) {
+      bad_flag(flag, "I:N", value);
+    }
+    return std::pair<int, int>{int_flag(value.substr(0, colon), flag, 0),
+                               int_flag(value.substr(colon + 1), flag, 0)};
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (auto v = ArgValue(arg, "--spec")) {
       spec_path = *v;
     } else if (auto v = ArgValue(arg, "--workers")) {
-      options.num_workers = ParseIntOrDie(*v, "--workers");
+      options.num_workers = int_flag(*v, "--workers", 1);
     } else if (auto v = ArgValue(arg, "--transport")) {
       transport_name = *v;
     } else if (auto v = ArgValue(arg, "--worker-bin")) {
@@ -214,16 +227,13 @@ int main(int argc, char** argv) {
     } else if (auto v = ArgValue(arg, "--worker-cmd")) {
       worker_cmd = *v;
     } else if (auto v = ArgValue(arg, "--worker-threads")) {
-      worker_threads = ParseIntOrDie(*v, "--worker-threads");
+      worker_threads = int_flag(*v, "--worker-threads", 0);
     } else if (auto v = ArgValue(arg, "--target-lease-ms")) {
-      options.target_lease_ms = ParseIntOrDie(*v, "--target-lease-ms");
+      options.target_lease_ms = int_flag(*v, "--target-lease-ms", 1);
     } else if (auto v = ArgValue(arg, "--max-lease-units")) {
-      options.max_lease_units = ParseIntOrDie(*v, "--max-lease-units");
+      options.max_lease_units = int_flag(*v, "--max-lease-units", 1);
     } else if (auto v = ArgValue(arg, "--initial-cost-rate")) {
-      const serde::Status s = serde::ParseDouble(*v, &options.initial_cost_rate_ms);
-      if (!s) {
-        Fail("--initial-cost-rate: " + s.message);
-      }
+      options.initial_cost_rate_ms = double_flag(*v, "--initial-cost-rate");
     } else if (std::strcmp(arg, "--no-steal") == 0) {
       options.enable_steal = false;
     } else if (std::strcmp(arg, "--pipeline-leases") == 0) {
@@ -231,24 +241,21 @@ int main(int argc, char** argv) {
     } else if (auto v = ArgValue(arg, "--checkpoint-dir")) {
       checkpoint_dir = *v;
     } else if (auto v = ArgValue(arg, "--checkpoint-every")) {
-      options.checkpoint_every = ParseIntOrDie(*v, "--checkpoint-every");
+      options.checkpoint_every = int_flag(*v, "--checkpoint-every", 1);
     } else if (auto v = ArgValue(arg, "--crash-after")) {
-      options.crash_after_results = ParseIntOrDie(*v, "--crash-after");
+      options.crash_after_results = int_flag(*v, "--crash-after", 0);
     } else if (std::strcmp(arg, "--stats") == 0) {
       show_stats = true;
     } else if (auto v = ArgValue(arg, "--cost-factor")) {
-      const serde::Status s = serde::ParseDouble(*v, &options.straggler_cost_factor);
-      if (!s) {
-        Fail("--cost-factor: " + s.message);
-      }
+      options.straggler_cost_factor = double_flag(*v, "--cost-factor");
     } else if (auto v = ArgValue(arg, "--heartbeat-ms")) {
-      heartbeat_ms = ParseIntOrDie(*v, "--heartbeat-ms");
+      heartbeat_ms = int_flag(*v, "--heartbeat-ms", 0);
     } else if (auto v = ArgValue(arg, "--deadline-ms")) {
-      options.straggler_deadline_ms = ParseIntOrDie(*v, "--deadline-ms");
+      options.straggler_deadline_ms = int_flag(*v, "--deadline-ms", 0);
     } else if (auto v = ArgValue(arg, "--global-deadline-ms")) {
-      options.global_deadline_ms = ParseIntOrDie(*v, "--global-deadline-ms");
+      options.global_deadline_ms = int_flag(*v, "--global-deadline-ms", 0);
     } else if (auto v = ArgValue(arg, "--max-launches")) {
-      options.max_worker_launches = ParseIntOrDie(*v, "--max-launches");
+      options.max_worker_launches = int_flag(*v, "--max-launches", 0);
     } else if (auto v = ArgValue(arg, "--out")) {
       out_path = *v;
     } else if (auto v = ArgValue(arg, "--cache-dir")) {
@@ -258,13 +265,13 @@ int main(int argc, char** argv) {
     } else if (auto v = ArgValue(arg, "--cache-stats")) {
       cache_stats_path = *v;
     } else if (auto v = ArgValue(arg, "--inject-fail")) {
-      inject_fail.insert(ParseIndexCount(*v, "--inject-fail"));
+      inject_fail.insert(index_count_flag(*v, "--inject-fail"));
     } else if (auto v = ArgValue(arg, "--inject-hang")) {
-      inject_hang.insert(ParseIndexCount(*v, "--inject-hang"));
+      inject_hang.insert(index_count_flag(*v, "--inject-hang"));
     } else if (auto v = ArgValue(arg, "--inject-dup")) {
-      inject_dup.insert(ParseIntOrDie(*v, "--inject-dup"));
+      inject_dup.insert(int_flag(*v, "--inject-dup", 0));
     } else if (auto v = ArgValue(arg, "--inject-delay")) {
-      inject_delay.insert(ParseIndexCount(*v, "--inject-delay"));
+      inject_delay.insert(index_count_flag(*v, "--inject-delay"));
     } else if (std::strcmp(arg, "--print") == 0) {
       print = true;
     } else if (std::strcmp(arg, "-v") == 0) {

@@ -97,15 +97,6 @@ SweepSpec DefaultSpec() {
   return spec;
 }
 
-int ParseIntOrDie(const std::string& value, const char* flag) {
-  int out = 0;
-  const serde::Status s = serde::ParseInt(value, &out);
-  if (!s) {
-    Fail(std::string(flag) + ": " + s.message);
-  }
-  return out;
-}
-
 // The worker protocol stream over a pair of fds — stdin/stdout by default, a
 // connected TCP socket under --connect.  net::LineChannel writes are unbuffered
 // (the dispatcher merges results as they arrive, so buffering a line would stall
@@ -149,6 +140,17 @@ int main(int argc, char** argv) {
   DispatchWorkerOptions worker_options;
   ShardStrategy strategy = ShardStrategy::kRoundRobin;
 
+  // Numbers are parsed strictly (whole token) and range-checked here: a malformed
+  // value is a usage error (exit 2), not a failed run (exit 1).
+  const auto int_flag = [&](const std::string& value, const char* flag, int min) {
+    int out = 0;
+    if (!serde::ParseInt(value, &out) || out < min) {
+      std::fprintf(stderr, "sweep_shard: %s: expected an integer >= %d, got '%s'\n",
+                   flag, min, value.c_str());
+      Usage(argv[0]);
+    }
+    return out;
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--worker") == 0) {
@@ -156,21 +158,21 @@ int main(int argc, char** argv) {
     } else if (auto v = ArgValue(arg, "--connect")) {
       connect_addr = *v;
     } else if (auto v = ArgValue(arg, "--heartbeat-ms")) {
-      worker_options.heartbeat_interval_ms = ParseIntOrDie(*v, "--heartbeat-ms");
+      worker_options.heartbeat_interval_ms = int_flag(*v, "--heartbeat-ms", 0);
     } else if (auto v = ArgValue(arg, "--worker-fail-after")) {
-      worker_options.fail_after_results = ParseIntOrDie(*v, "--worker-fail-after");
+      worker_options.fail_after_results = int_flag(*v, "--worker-fail-after", 0);
     } else if (auto v = ArgValue(arg, "--worker-hang-after")) {
-      worker_options.hang_after_results = ParseIntOrDie(*v, "--worker-hang-after");
+      worker_options.hang_after_results = int_flag(*v, "--worker-hang-after", 0);
     } else if (std::strcmp(arg, "--worker-dup-results") == 0) {
       worker_options.duplicate_results = true;
     } else if (auto v = ArgValue(arg, "--worker-delay-ms")) {
-      worker_options.delay_per_result_ms = ParseIntOrDie(*v, "--worker-delay-ms");
+      worker_options.delay_per_result_ms = int_flag(*v, "--worker-delay-ms", 0);
     } else if (auto v = ArgValue(arg, "--spec")) {
       spec_path = *v;
     } else if (auto v = ArgValue(arg, "--shards")) {
-      num_shards = ParseIntOrDie(*v, "--shards");
+      num_shards = int_flag(*v, "--shards", 1);
     } else if (auto v = ArgValue(arg, "--shard")) {
-      shard_index = ParseIntOrDie(*v, "--shard");
+      shard_index = int_flag(*v, "--shard", 0);
     } else if (auto v = ArgValue(arg, "--strategy")) {
       const serde::Status s = ParseShardStrategy(*v, &strategy);
       if (!s) {
@@ -181,7 +183,7 @@ int main(int argc, char** argv) {
     } else if (auto v = ArgValue(arg, "--csv")) {
       csv_path = *v;
     } else if (auto v = ArgValue(arg, "--threads")) {
-      threads = ParseIntOrDie(*v, "--threads");
+      threads = int_flag(*v, "--threads", 0);
     } else if (auto v = ArgValue(arg, "--cache-dir")) {
       cache_dir = *v;
     } else if (auto v = ArgValue(arg, "--cache")) {
