@@ -1,10 +1,12 @@
-# End-to-end check that the binaries refuse malformed numeric flags, run as a ctest.
+# End-to-end check that the binaries refuse malformed flag values, run as a ctest.
 # Every numeric flag crossed with a non-numeric, a NaN, an infinite and an empty
-# value must end in a usage error (exit 2) whose message names the flag — not a
-# silent default value, not a runtime failure (exit 1) and not an ALERT_CHECK abort
-# somewhere past the parser.  Naming the flag matters: a binary that wrongly
-# accepted the value could still exit 2 later for a missing required flag.  Every
-# invocation fails while parsing, so no daemon or worker is ever started.
+# value, and every named-choice flag crossed with the same four values (none is a
+# valid choice), must end in a usage error (exit 2) whose message names the flag —
+# not a silent default value, not a runtime failure (exit 1) and not an
+# ALERT_CHECK abort somewhere past the parser.  Naming the flag matters: a binary
+# that wrongly accepted the value could still exit 2 later for a missing required
+# flag.  Every invocation fails while parsing, so no daemon or worker is ever
+# started.
 # Invoked with -DALERT_CLI=... -DALERTD=... -DSWEEP_SHARD=... -DSWEEP_DISPATCH=...
 # -DWORK_DIR=...
 foreach(var ALERT_CLI ALERTD SWEEP_SHARD SWEEP_DISPATCH WORK_DIR)
@@ -37,21 +39,21 @@ foreach(flag --deadline-mult --accuracy-goal --power-watts --inputs --seed)
   expect_usage_errors(${ALERT_CLI} ${flag} --inputs=20 --no-static)
 endforeach()
 
-foreach(flag --port --budget)
+foreach(flag --port --budget --platform --policy)
   expect_usage_errors(${ALERTD} ${flag})
 endforeach()
 
 foreach(flag --heartbeat-ms --worker-fail-after --worker-hang-after --worker-delay-ms
-        --shards --shard --threads)
+        --shards --shard --threads --strategy)
   expect_usage_errors(${SWEEP_SHARD} ${flag})
 endforeach()
 
 foreach(flag --workers --worker-threads --target-lease-ms --max-lease-units
         --initial-cost-rate --checkpoint-every --crash-after --cost-factor
         --heartbeat-ms --deadline-ms --global-deadline-ms --max-launches
-        --inject-fail --inject-hang --inject-delay --inject-dup)
+        --inject-fail --inject-hang --inject-delay --inject-dup --transport)
   expect_usage_errors(${SWEEP_DISPATCH} ${flag})
 endforeach()
 
 message(STATUS "cli_flags_e2e: alert_cli, alertd, sweep_shard and sweep_dispatch "
-               "refuse every malformed numeric flag")
+               "refuse every malformed numeric or named-choice flag")

@@ -1,7 +1,9 @@
 #include "src/harness/dispatch.h"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/eventfd.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -219,25 +221,46 @@ class InProcessChannel final : public WorkerChannel {
 
 // ----------------------------------------------------------------------------------
 // Process-backed channel: a worker child speaking the protocol on its stdin/stdout
-// pipes, or on the TCP socket it dialed back on (`conn_fd` >= 0; the child is then
-// kept only for kill/reap).
+// pipes, or on the TCP connection it dials back on (socket mode; the child is then
+// kept only for kill/reap).  A socket channel starts out connecting: it owns its
+// launch's listener, and Recv accepts once the listener is readable.  The launch
+// fails — the child is killed and reaped, and Recv reports kClosed — when the child
+// exits without connecting or the accept deadline passes.
+
+void SetCloseOnExec(int fd) { (void)::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 
 class ProcessChannel final : public WorkerChannel {
  public:
-  explicit ProcessChannel(std::unique_ptr<subprocess::Child> child, int conn_fd = -1)
-      : child_(std::move(child)) {
-    if (conn_fd >= 0) {
-      socket_.emplace(conn_fd, conn_fd, /*owns_fds=*/true);
-    }
-  }
+  explicit ProcessChannel(std::unique_ptr<subprocess::Child> child)
+      : child_(std::move(child)) {}
+  // Socket mode: `listen_fd` (owned) is the listener the worker dials back to.
+  ProcessChannel(std::unique_ptr<subprocess::Child> child, int listen_fd,
+                 Clock::time_point accept_deadline)
+      : child_(std::move(child)),
+        over_socket_(true),
+        listen_fd_(listen_fd),
+        accept_deadline_(accept_deadline) {}
 
   ~ProcessChannel() override { Close(); }
 
   serde::Status Send(std::string_view lines) override {
-    return socket_ ? socket_->WriteLines(lines) : child_->WriteLines(lines);
+    if (!over_socket_) {
+      return child_->WriteLines(lines);
+    }
+    return socket_ ? socket_->WriteLines(lines)
+                   : serde::Error("worker has not connected");
   }
 
   ChannelRead Recv(int timeout_ms, std::string* line) override {
+    if (over_socket_ && !socket_) {
+      const Clock::time_point start = Clock::now();
+      if (!Connect(timeout_ms)) {
+        return listen_fd_ >= 0 ? ChannelRead::kTimeout : ChannelRead::kClosed;
+      }
+      if (timeout_ms > 0) {
+        timeout_ms = std::max(0, timeout_ms - ElapsedMs(start));
+      }
+    }
     switch (socket_ ? socket_->ReadLine(timeout_ms, line)
                     : child_->ReadLine(timeout_ms, line)) {
       case net::ReadStatus::kLine:
@@ -250,20 +273,128 @@ class ProcessChannel final : public WorkerChannel {
     return ChannelRead::kClosed;
   }
 
+  // The listener while connecting; once the launch has failed, the dead child's
+  // stdout, which is at EOF and so stays readable.
   int wait_fd() const override {
-    return socket_ ? socket_->read_fd() : child_->stdout_fd();
+    if (socket_) {
+      return socket_->read_fd();
+    }
+    return listen_fd_ >= 0 ? listen_fd_ : child_->stdout_fd();
   }
 
   void Close() override {
     if (socket_) {
       socket_->CloseWrite();  // half-close: the worker sees EOF and exits cleanly
     }
+    CloseListener();
     child_->Kill();  // also closes the child's stdin
     child_->Wait();
   }
 
  private:
+  // Waits up to timeout_ms (0 polls, < 0 blocks) for the worker to connect and
+  // accepts it; true once connected.  False with the listener still open means
+  // "not yet"; false with it closed means the launch failed.
+  bool Connect(int timeout_ms) {
+    if (listen_fd_ < 0) {
+      return false;  // failed or closed before the worker connected
+    }
+    const Clock::time_point wait_until =
+        timeout_ms < 0 ? Clock::time_point::max()
+                       : Clock::now() + std::chrono::milliseconds(timeout_ms);
+    for (;;) {
+      if (ListenerReadable()) {
+        return Accept();
+      }
+      // A worker that connected and then exited queued its connection first, so
+      // the listener is checked once more before its exit counts as a failure.
+      if (ChildExited()) {
+        if (ListenerReadable()) {
+          return Accept();
+        }
+        Fail();
+        return false;
+      }
+      const Clock::time_point now = Clock::now();
+      if (now >= accept_deadline_) {
+        Fail();
+        return false;
+      }
+      if (now >= wait_until) {
+        return false;
+      }
+      const Clock::time_point until = std::min(wait_until, accept_deadline_);
+      const int wait_ms =
+          until == Clock::time_point::max()
+              ? -1
+              : static_cast<int>(
+                    std::chrono::ceil<std::chrono::milliseconds>(until - now).count());
+      // The child's stdout reaches EOF when it exits: a second fd to wake on.
+      pollfd fds[2] = {{listen_fd_, POLLIN, 0},
+                       {stdout_eof_ ? -1 : child_->stdout_fd(), POLLIN, 0}};
+      (void)::poll(fds, 2, wait_ms);
+    }
+  }
+
+  bool ListenerReadable() const {
+    pollfd pfd{listen_fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, 0) == 1;
+  }
+
+  bool Accept() {
+    int conn_fd = -1;
+    // Goes through AcceptWithTimeout for its TCP_NODELAY guarantee; the listener
+    // is already readable, so this does not wait.
+    if (!net::AcceptWithTimeout(listen_fd_, 0, &conn_fd)) {
+      Fail();
+      return false;
+    }
+    SetCloseOnExec(conn_fd);
+    socket_.emplace(conn_fd, conn_fd, /*owns_fds=*/true);
+    CloseListener();
+    return true;
+  }
+
+  // Whether the child has exited, judged only once its stdout reached EOF (output
+  // before that is discarded: the protocol runs over the socket).  The check does
+  // not reap, so a later Wait still owns the pid.  A child whose stdout closed
+  // while it lives on (a command that redirects it) keeps its accept deadline.
+  bool ChildExited() {
+    std::string discarded;
+    net::ReadStatus status;
+    while (!stdout_eof_ &&
+           (status = child_->ReadLine(0, &discarded)) != net::ReadStatus::kTimeout) {
+      stdout_eof_ = status == net::ReadStatus::kClosed;
+    }
+    if (!stdout_eof_) {
+      return false;
+    }
+    siginfo_t info{};
+    return ::waitid(P_PID, static_cast<id_t>(child_->pid()), &info,
+                    WEXITED | WNOHANG | WNOWAIT) == 0 &&
+           info.si_pid != 0;
+  }
+
+  // The launch failed: kill and reap the child now, so a worker that never
+  // connected holds nothing while the dispatcher carries on.
+  void Fail() {
+    CloseListener();
+    child_->Kill();
+    child_->Wait();
+  }
+
+  void CloseListener() {
+    if (listen_fd_ >= 0) {
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+    }
+  }
+
   std::unique_ptr<subprocess::Child> child_;
+  const bool over_socket_ = false;
+  int listen_fd_ = -1;  // socket mode, until the worker connects or the launch fails
+  Clock::time_point accept_deadline_;
+  bool stdout_eof_ = false;
   std::optional<net::LineChannel> socket_;
 };
 
@@ -330,38 +461,29 @@ SocketTransport::SocketTransport(Options options) : options_(std::move(options))
   ALERT_CHECK(options_.command_for_worker != nullptr);
 }
 
-SocketTransport::~SocketTransport() {
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-  }
-}
-
 serde::Status SocketTransport::Launch(int worker_index,
                                       std::unique_ptr<WorkerChannel>* out) {
-  if (listen_fd_ < 0) {
-    const serde::Status s = net::ListenLocalhost(0, &listen_fd_, &port_);
-    if (!s) {
-      return serde::Wrap("socket transport", s);
-    }
-  }
-  std::unique_ptr<subprocess::Child> child;
-  serde::Status s = subprocess::Child::SpawnShell(
-      options_.command_for_worker(worker_index, port_), &child);
+  // A listener per launch: the only connection it can accept is this worker's, so
+  // launches need not wait for each other's workers to connect.
+  int listen_fd = -1;
+  int port = 0;
+  serde::Status s = net::ListenLocalhost(0, &listen_fd, &port);
   if (!s) {
+    return serde::Wrap("socket transport", s);
+  }
+  SetCloseOnExec(listen_fd);  // no worker inherits another launch's listener
+  std::unique_ptr<subprocess::Child> child;
+  s = subprocess::Child::SpawnShell(options_.command_for_worker(worker_index, port),
+                                    &child);
+  if (!s) {
+    ::close(listen_fd);
     return serde::Wrap("socket transport launch", s);
   }
-  // Launches are serial (the dispatcher's event loop), so the next connection on the
-  // listener is this worker's.
-  int conn_fd = -1;
-  s = net::AcceptWithTimeout(listen_fd_, options_.accept_timeout_ms, &conn_fd);
-  if (!s) {
-    child->Kill();
-    child->Wait();
-    return serde::Wrap("socket transport accept (worker " +
-                           std::to_string(worker_index) + ")",
-                       s);
-  }
-  *out = std::make_unique<ProcessChannel>(std::move(child), conn_fd);
+  const Clock::time_point accept_deadline =
+      options_.accept_timeout_ms > 0
+          ? Clock::now() + std::chrono::milliseconds(options_.accept_timeout_ms)
+          : Clock::time_point::max();
+  *out = std::make_unique<ProcessChannel>(std::move(child), listen_fd, accept_deadline);
   return serde::Ok();
 }
 
@@ -866,6 +988,7 @@ struct WorkerState {
   // lease-done.  kDead: gone.
   enum class Mode { kIdle, kWorking, kRevoking, kStraggler, kDead } mode = Mode::kIdle;
   bool wants_lease = false;  // lease-request received and not yet answered
+  bool said_hello = false;   // worker-hello received: the launch succeeded
   int seq = -1;              // current (or last) lease
   std::vector<int> assigned_ids;
   // The pipelined next lease (pipeline_leases): already sent to the worker, not yet
@@ -880,37 +1003,51 @@ struct WorkerState {
 };
 
 // Everything a lease message needs that is constant per dispatch: the spec and each
-// snapshot's wire text are serialized once here, then spliced into every lease —
-// snapshots are the bulk of the payload and identical across leases.
+// snapshot's wire text are serialized once, then spliced into every lease —
+// snapshots are the bulk of the payload and identical across leases.  A (task,
+// platform, seed) triple's snapshot text is serialized when a lease first needs it,
+// so no lease waits on the serialization of triples it does not carry.
 struct LeaseContext {
-  const SweepPlan* plan;
+  const SweepPlan* plan = nullptr;
+  ProfileSnapshotStore snapshots;
   std::string spec_text;
-  // (task, platform, seed) -> the ready-to-send text of its three snapshots (each:
-  // `snapshot-for` key line + profile-snapshot block).
-  std::map<std::tuple<int, int, uint64_t>, std::string> snapshot_text;
   uint64_t fingerprint = 0;
 
-  void CacheSnapshots(const ProfileSnapshotStore& store) {
-    for (const auto& [key, snapshot] : store.entries()) {
-      SnapshotKey snapshot_key;
-      snapshot_key.task = static_cast<TaskId>(std::get<0>(key));
-      snapshot_key.platform = static_cast<PlatformId>(std::get<1>(key));
-      snapshot_key.seed = std::get<2>(key);
-      snapshot_key.choice = static_cast<DnnSetChoice>(std::get<3>(key));
-      std::string& text = snapshot_text[std::tuple<int, int, uint64_t>{
-          std::get<0>(key), std::get<1>(key), std::get<2>(key)}];
-      text += SerializeSnapshotKey(snapshot_key);
-      text += '\n';
-      text += SerializeProfileSnapshot(snapshot);
+  // The ready-to-send text of a triple's three snapshots (each: `snapshot-for` key
+  // line + profile-snapshot block), in the store's key order.
+  const std::string& SnapshotText(const std::tuple<int, int, uint64_t>& triple) {
+    const auto [cached, inserted] = snapshot_text_.try_emplace(triple);
+    if (!inserted) {
+      return cached->second;
     }
+    const auto& [task, platform, seed] = triple;
+    int found = 0;
+    for (auto it = snapshots.entries().lower_bound({task, platform, seed, INT_MIN});
+         it != snapshots.entries().end() && std::get<0>(it->first) == task &&
+         std::get<1>(it->first) == platform && std::get<2>(it->first) == seed;
+         ++it, ++found) {
+      SnapshotKey key;
+      key.task = static_cast<TaskId>(task);
+      key.platform = static_cast<PlatformId>(platform);
+      key.seed = seed;
+      key.choice = static_cast<DnnSetChoice>(std::get<3>(it->first));
+      cached->second += SerializeSnapshotKey(key);
+      cached->second += '\n';
+      cached->second += SerializeProfileSnapshot(it->second);
+    }
+    ALERT_CHECK(found == 3);  // CapturePlanSnapshots covers every triple of the plan
+    return cached->second;
   }
+
+ private:
+  std::map<std::tuple<int, int, uint64_t>, std::string> snapshot_text_;
 };
 
 // Sends one lease (grant + spec + the snapshots its units need + ids + lease-end) as
 // one message: one Send, so one write on a process transport instead of one TCP
 // segment per line.  A Send error means the worker is gone; the caller handles
 // requeueing.
-serde::Status SendLease(const LeaseContext& context, WorkerState& worker, int seq,
+serde::Status SendLease(LeaseContext& context, WorkerState& worker, int seq,
                         std::span<const int> ids) {
   const SweepPlan& plan = *context.plan;
   std::set<std::tuple<int, int, uint64_t>> triples;
@@ -930,9 +1067,7 @@ serde::Status SendLease(const LeaseContext& context, WorkerState& worker, int se
   message += '\n';
   message += context.spec_text;
   for (const auto& key : triples) {
-    const auto it = context.snapshot_text.find(key);
-    ALERT_CHECK(it != context.snapshot_text.end());  // CapturePlanSnapshots covers all
-    message += it->second;
+    message += context.SnapshotText(key);
   }
   for (const std::string& id_line : SerializeUnitIdLines(ids)) {
     message += id_line;
@@ -985,13 +1120,6 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     }
   };
 
-  LeaseContext context;
-  context.plan = &plan;
-  const ProfileSnapshotStore snapshots = CapturePlanSnapshots(plan);
-  context.CacheSnapshots(snapshots);
-  context.spec_text = SerializeSweepSpec(plan.spec);
-  context.fingerprint = PlanFingerprint(plan);
-
   SweepMergeAccumulator accumulator(plan);
   // Preseeded results (cache hits) are first-class deliveries: merged before any
   // worker exists, so no lease below ever contains — let alone re-runs — their units.
@@ -1005,6 +1133,11 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
       ++st.preseeded;
     }
   }
+
+  // Filled in once the initial fleet is launching (see "Preparation" below).
+  LeaseContext context;
+  context.plan = &plan;
+
   // Checkpointing: the journal starts as every preseeded result, written once and
   // atomically; each newly merged result is then buffered and appended in batches of
   // `checkpoint_every`.  A checkpoint that cannot be written is a loud dispatch
@@ -1012,6 +1145,20 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
   // getting it.
   SweepCheckpointJournal journal;
   int fresh_results = 0;  // newly recorded worker deliveries (crash-injection input)
+  const auto open_journal = [&]() -> serde::Status {
+    if (options.checkpoint_path.empty()) {
+      return serde::Ok();
+    }
+    SweepCheckpoint base;
+    base.plan_fingerprint = context.fingerprint;
+    base.results = accumulator.RecordedResults();
+    const serde::Status s = journal.Open(options.checkpoint_path, base);
+    if (!s) {
+      return serde::Wrap("checkpoint write", s);
+    }
+    ++st.checkpoints_written;
+    return serde::Ok();
+  };
   const auto flush_journal = [&]() -> serde::Status {
     if (journal.pending() == 0) {
       return serde::Ok();  // nothing buffered, or no checkpoint at all
@@ -1023,18 +1170,13 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     ++st.checkpoints_written;
     return serde::Ok();
   };
-  if (!options.checkpoint_path.empty()) {
-    SweepCheckpoint base;
-    base.plan_fingerprint = context.fingerprint;
-    base.results = accumulator.RecordedResults();
-    const serde::Status s = journal.Open(options.checkpoint_path, base);
-    if (!s) {
-      return finish(serde::Wrap("checkpoint write", s));
-    }
-    ++st.checkpoints_written;
-  }
 
   if (accumulator.complete()) {
+    context.fingerprint = PlanFingerprint(plan);
+    const serde::Status s = open_journal();
+    if (!s) {
+      return finish(s);
+    }
     log("every unit preseeded; nothing to dispatch");
     return finish(accumulator.Finalize(out));
   }
@@ -1368,6 +1510,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     }
     switch (message.kind) {
       case WorkerMessage::Kind::kHello:
+        worker.said_hello = true;
         break;
       case WorkerMessage::Kind::kHeartbeat:
         if (message.idle_ms >= 0.0) {
@@ -1461,7 +1604,8 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     }
   };
 
-  // Initial fleet: workers pull their own work, so this only sizes the pool — at
+  // Initial fleet, launched before the preparation below so worker start-up
+  // overlaps it: workers pull their own work, so this only sizes the pool — at
   // most one worker per pending unit, so a mostly-preseeded incremental re-run
   // never spins up idle workers.
   {
@@ -1478,6 +1622,17 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     return finish(serde::Error("no worker could be launched (after " +
                                std::to_string(st.failed_launches) +
                                " failed launches)"));
+  }
+
+  // Preparation, while the fleet starts up: no lease can go out before a worker has
+  // connected and asked for one, so none of this delays the first grant unless it
+  // outlasts a worker's start-up.
+  context.snapshots = CapturePlanSnapshots(plan);
+  context.spec_text = SerializeSweepSpec(plan.spec);
+  context.fingerprint = PlanFingerprint(plan);
+  if (const serde::Status s = open_journal(); !s) {
+    close_all();
+    return finish(s);
   }
 
   // A working lease's straggler deadline.  Cost-scaled: a lease whose largest
@@ -1557,7 +1712,14 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
         }
         if (read == ChannelRead::kClosed) {
           if (worker.mode == WorkerState::Mode::kIdle && worker.assigned_ids.empty()) {
-            // A worker that exits with nothing outstanding is not a failure.
+            // A worker that exits with nothing outstanding is not a failure — unless
+            // it never said hello: then its launch failed (the command could not
+            // start, or the worker never connected).
+            if (!worker.said_hello) {
+              ++st.failed_launches;
+              log("launch " + std::to_string(worker.launch_index) +
+                  " failed: its channel closed before worker-hello");
+            }
             worker.mode = WorkerState::Mode::kDead;
             worker.wants_lease = false;
             worker.channel->Close();

@@ -51,9 +51,10 @@
 //                         `sweep_shard --worker ...` or `/bin/sh -c TEMPLATE`, so
 //                         `ssh host sweep_shard --worker` turns any reachable
 //                         machine into a worker with no shared filesystem;
-//   SocketTransport     — real TCP: the dispatcher listens on 127.0.0.1, launches
-//                         each worker from a {port}-templated command line
-//                         (`sweep_shard --worker --connect=127.0.0.1:{port}`), and
+//   SocketTransport     — real TCP: each launch listens on a 127.0.0.1 port of its
+//                         own, starts the worker from a {port}-templated command
+//                         line (`sweep_shard --worker --connect=127.0.0.1:{port}`),
+//                         accepts its connection inside the event loop, and
 //                         speaks the same line protocol over the socket.
 //
 // Thread-safety: DispatchSweep runs a single-threaded event loop; Transport/
@@ -115,7 +116,9 @@ class WorkerChannel {
 // Worker factory.  `Launch(i)` starts worker i (a monotonically increasing launch
 // index — replacement workers get fresh indices) and returns its channel; a Status
 // error (binary missing, ssh refused) makes the dispatcher count a failed launch
-// against `max_worker_launches` and try the next index.
+// against `max_worker_launches` and try the next index.  Launch need not wait for
+// the worker: a channel that closes before its `worker-hello` also counts as a
+// failed launch, and the dispatcher replaces it like any other lost worker.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -224,27 +227,29 @@ class SubprocessTransport : public Transport {
   std::function<std::vector<std::string>(int)> argv_for_worker_;
 };
 
-// Workers over localhost TCP: Launch listens on 127.0.0.1 (one listener, ephemeral
-// port, opened lazily), runs `command_for_worker(worker_index, port)` under
-// /bin/sh -c, and waits up to `accept_timeout_ms` for that worker to connect back.
-// The child is kept for kill/reap alongside the socket.  Launches are serial (the
-// dispatcher's event loop), so connections pair with the launch that is waiting.
+// Workers over localhost TCP.  Launch opens a listener of its own on 127.0.0.1 (an
+// ephemeral port), runs `command_for_worker(worker_index, port)` under /bin/sh -c,
+// and returns at once: the channel accepts the worker's connection inside the
+// dispatcher's event loop (until then its wait_fd() is the listener), so the
+// workers of a fleet start up together.  The launch fails — the child is killed
+// and reaped, and the channel reports kClosed — when the child exits before it
+// connects, or when `accept_timeout_ms` has passed since the launch.  The child is
+// kept for kill/reap alongside the socket.
 class SocketTransport : public Transport {
  public:
   struct Options {
     // Renders the worker command; must make the worker dial 127.0.0.1:port, e.g.
     // "./sweep_shard --worker --connect=127.0.0.1:" + std::to_string(port).
     std::function<std::string(int worker_index, int port)> command_for_worker;
+    // How long after its launch a worker may take to connect; <= 0 waits until
+    // it connects or exits.
     int accept_timeout_ms = 20000;
   };
   explicit SocketTransport(Options options);
-  ~SocketTransport() override;
   serde::Status Launch(int worker_index, std::unique_ptr<WorkerChannel>* out) override;
 
  private:
   Options options_;
-  int listen_fd_ = -1;
-  int port_ = 0;
 };
 
 // --- dispatcher --------------------------------------------------------------------
@@ -391,7 +396,7 @@ struct DispatchOptions {
 
 struct DispatchStats {
   int workers_launched = 0;   // successful Launch calls
-  int failed_launches = 0;    // Launch calls that returned an error
+  int failed_launches = 0;    // Launch errors, plus channels closed before worker-hello
   int worker_failures = 0;    // channels that closed before finishing a lease
   int stragglers = 0;         // deadline expiries that triggered a revoke + requeue
   int leases_granted = 0;     // lease-grant messages sent (prefetches included)

@@ -311,12 +311,22 @@ serde::Status ParseSweepUnitResult(std::string_view line, SweepUnitResult* out) 
 }
 
 uint64_t PlanFingerprint(const SweepPlan& plan) {
-  std::string blob = SerializeSweepSpec(plan.spec);
+  // serde::Fnv1a64 over the spec text and then every unit line, each followed by
+  // '\n', fed one line at a time instead of joined into one string first: the same
+  // value without building the whole (hundreds of KB) blob.
+  uint64_t hash = serde::Fnv1a64("");
+  const auto feed = [&hash](std::string_view bytes) {
+    for (const char c : bytes) {
+      hash ^= static_cast<uint8_t>(c);
+      hash *= 1099511628211ull;
+    }
+  };
+  feed(SerializeSweepSpec(plan.spec));
   for (const SweepUnit& unit : plan.units) {
-    blob += SerializeSweepUnit(unit);
-    blob += '\n';
+    feed(SerializeSweepUnit(unit));
+    feed("\n");
   }
-  return serde::Fnv1a64(blob);
+  return hash;
 }
 
 std::string SerializeShardResults(const ShardResults& shard) {

@@ -3,14 +3,17 @@
 // lease revocation, steal order, or duplicate delivery — and a completed unit id
 // must never be re-leased.  Also covers the cost model and cost-scaled straggler
 // deadline, the pull pool's makespan against the static-shard bound on a skewed
-// fleet, the incremental merge accumulator, and the warm-start (never re-profile)
-// snapshot path the dispatcher ships to workers.
+// fleet, the incremental merge accumulator, the warm-start (never re-profile)
+// snapshot path the dispatcher ships to workers, and the socket transport with real
+// sweep_shard workers (ALERT_SWEEP_SHARD_BIN).
 #include "src/harness/dispatch.h"
 
 #include <gtest/gtest.h>
 #include <poll.h>
+#include <signal.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -949,6 +952,148 @@ TEST_F(DispatchTest, ExhaustedLaunchBudgetIsAnErrorNotAHang) {
   EXPECT_FALSE(s.ok);
   EXPECT_NE(s.message.find("launch budget"), std::string::npos);
   EXPECT_EQ(stats.workers_launched, 5);
+}
+
+// Dead-on-arrival channels that count how many of them the dispatcher closed.
+class CloseCountingTransport : public Transport {
+ public:
+  serde::Status Launch(int, std::unique_ptr<WorkerChannel>* out) override {
+    *out = std::make_unique<Channel>(&closed);
+    return serde::Ok();
+  }
+
+  int closed = 0;
+
+ private:
+  class Channel : public DeadChannel {
+   public:
+    explicit Channel(int* closed) : closed_(closed) {}
+    void Close() override {
+      if (!was_closed_) {
+        was_closed_ = true;
+        ++*closed_;
+      }
+    }
+
+   private:
+    int* closed_;
+    bool was_closed_ = false;
+  };
+};
+
+// The fleet launches before the journal is opened, so a checkpoint that cannot be
+// written must take the launched workers down with the dispatch.
+TEST_F(DispatchTest, UnwritableCheckpointFailsAndClosesEveryLaunchedWorker) {
+  CloseCountingTransport transport;
+  DispatchOptions options;
+  options.num_workers = 2;
+  options.checkpoint_path = ::testing::TempDir() + "/no_such_dir/checkpoint.sweep";
+  std::string csv;
+  DispatchStats stats;
+  const serde::Status s = Dispatch(transport, options, &csv, &stats);
+  ASSERT_FALSE(s.ok);
+  EXPECT_NE(s.message.find("checkpoint write"), std::string::npos) << s.message;
+  EXPECT_EQ(stats.workers_launched, 2);
+  EXPECT_EQ(transport.closed, 2);
+}
+
+// --- the socket transport, with real sweep_shard workers -----------------------------
+
+// The real worker dialing back to `port`.  `exec`: the shell becomes the worker, so
+// the channel's kill + reap reaches the worker itself.
+std::string SocketWorkerCommand(int port) {
+  return std::string("exec '") + ALERT_SWEEP_SHARD_BIN +
+         "' --worker --threads=1 --connect=127.0.0.1:" + std::to_string(port);
+}
+
+TEST_F(DispatchTest, SocketWorkersMatchTheMonolithicCsv) {
+  SocketTransport::Options transport_options;
+  transport_options.command_for_worker = [](int, int port) {
+    return SocketWorkerCommand(port);
+  };
+  SocketTransport transport(std::move(transport_options));
+  DispatchOptions options;
+  options.num_workers = 3;
+  std::string csv;
+  DispatchStats stats;
+  const serde::Status s = Dispatch(transport, options, &csv, &stats);
+  ASSERT_TRUE(s.ok) << s.message;
+  EXPECT_EQ(csv, *monolithic_csv_);
+  EXPECT_EQ(stats.workers_launched, 3);
+  EXPECT_EQ(stats.failed_launches, 0);
+}
+
+// A worker that exits before connecting fails its launch as soon as it exits, not
+// after the accept timeout: with a 10-minute timeout, only the exit can end this
+// launch within the test's own time limit.
+TEST_F(DispatchTest, SocketWorkerThatExitsBeforeConnectingIsReplacedAtOnce) {
+  SocketTransport::Options transport_options;
+  transport_options.command_for_worker = [](int worker, int port) {
+    return worker == 0 ? std::string("exit 3") : SocketWorkerCommand(port);
+  };
+  transport_options.accept_timeout_ms = 600000;
+  SocketTransport transport(std::move(transport_options));
+  DispatchOptions options;
+  options.num_workers = 1;
+  std::string csv;
+  DispatchStats stats;
+  const serde::Status s = Dispatch(transport, options, &csv, &stats);
+  ASSERT_TRUE(s.ok) << s.message;
+  EXPECT_EQ(csv, *monolithic_csv_);
+  EXPECT_EQ(stats.failed_launches, 1);
+  EXPECT_EQ(stats.workers_launched, 2);
+}
+
+// Launch 0 from `first`, every later launch from `rest`.
+class FirstLaunchTransport : public Transport {
+ public:
+  FirstLaunchTransport(Transport& first, Transport& rest) : first_(first), rest_(rest) {}
+  serde::Status Launch(int worker_index, std::unique_ptr<WorkerChannel>* out) override {
+    return (worker_index == 0 ? first_ : rest_).Launch(worker_index, out);
+  }
+
+ private:
+  Transport& first_;
+  Transport& rest_;
+};
+
+// A worker that never connects is killed and reaped once the accept timeout has
+// passed since its launch, and a replacement finishes the plan.  Only the silent
+// launch gets the short timeout, so a slow (e.g. sanitized) real worker cannot fail
+// its own launch.
+TEST_F(DispatchTest, SocketWorkerThatNeverConnectsIsReapedAfterTheAcceptTimeout) {
+  const std::string pid_path = ::testing::TempDir() + "/never_connects.pid";
+  std::remove(pid_path.c_str());
+  SocketTransport::Options silent_options;
+  silent_options.command_for_worker = [&pid_path](int, int) {
+    return "echo $$ > '" + pid_path + "'; exec sleep 600";
+  };
+  silent_options.accept_timeout_ms = 200;
+  SocketTransport silent(std::move(silent_options));
+  SocketTransport::Options real_options;
+  real_options.command_for_worker = [](int, int port) {
+    return SocketWorkerCommand(port);
+  };
+  SocketTransport real(std::move(real_options));
+  FirstLaunchTransport transport(silent, real);
+  DispatchOptions options;
+  options.num_workers = 1;
+  std::string csv;
+  DispatchStats stats;
+  const serde::Status s = Dispatch(transport, options, &csv, &stats);
+  ASSERT_TRUE(s.ok) << s.message;
+  EXPECT_EQ(csv, *monolithic_csv_);
+  EXPECT_EQ(stats.failed_launches, 1);
+  EXPECT_EQ(stats.workers_launched, 2);
+
+  std::string pid_text;
+  ASSERT_TRUE(serde::ReadFile(pid_path, &pid_text).ok);
+  int pid = 0;
+  ASSERT_TRUE(serde::ParseInt(pid_text.substr(0, pid_text.find('\n')), &pid).ok);
+  ASSERT_GT(pid, 0);
+  // Reaped, not merely killed: a zombie would still answer signal 0.
+  EXPECT_EQ(::kill(pid, 0), -1);
+  EXPECT_EQ(errno, ESRCH);
 }
 
 // --- the channel wait primitive -----------------------------------------------------

@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
   AlertdOptions options;
   std::string port_file;
 
-  // Numbers are parsed strictly (whole token, finite) and range-checked here: a
-  // malformed value is a usage error (exit 2), not a failed run (exit 1).
+  // Numbers are parsed strictly (whole token, finite) and range-checked here, and
+  // names must be one of their choices: a malformed value is a usage error (exit 2),
+  // not a failed run (exit 1).
   const auto bad_flag = [&](const char* flag, const char* what, const std::string& v) {
     std::fprintf(stderr, "alertd: %s must be %s, got '%s'\n", flag, what, v.c_str());
     Usage(argv[0]);
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
       } else if (*v == "gpu") {
         options.platform = PlatformId::kGpu;
       } else {
-        Fail("unknown platform '" + *v + "'");
+        bad_flag("--platform", "one of embedded, cpu1, cpu2, gpu", *v);
       }
     } else if (auto v = ArgValue(arg, "--policy")) {
       if (*v == "proportional") {
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
       } else if (*v == "slack") {
         options.policy = AllocationPolicy::kSlackRecycling;
       } else {
-        Fail("unknown policy '" + *v + "'");
+        bad_flag("--policy", "proportional or slack", *v);
       }
     } else if (auto v = ArgValue(arg, "--log")) {
       options.event_log_path = *v;

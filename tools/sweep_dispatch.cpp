@@ -55,8 +55,9 @@ namespace {
       "  --worker-cmd=TEMPLATE  shell command per worker for the subprocess and socket\n"
       "                         transports, run under /bin/sh -c instead of the\n"
       "                         built-in sweep_shard argv; {worker} expands to the\n"
-      "                         launch index and {port} (socket) to the dispatcher's\n"
-      "                         TCP port.  Cannot be combined with --inject-*\n"
+      "                         launch index and {port} (socket) to the TCP port\n"
+      "                         that launch listens on (each worker gets its own).\n"
+      "                         Cannot be combined with --inject-*\n"
       "  --target-lease-ms=N    size each lease to ~N ms of predicted work\n"
       "                         (default 1000)\n"
       "  --max-lease-units=N    cap on units per lease (default 64); a\n"
@@ -183,8 +184,9 @@ int main(int argc, char** argv) {
   std::set<int> inject_dup;
   int heartbeat_ms = 5000;
 
-  // Numbers are parsed strictly (whole token, finite) and range-checked here: a
-  // malformed value is a usage error (exit 2), not a failed run (exit 1).
+  // Numbers are parsed strictly (whole token, finite) and range-checked here, and
+  // names must be one of their choices: a malformed value is a usage error (exit 2),
+  // not a failed run (exit 1).
   const auto bad_flag = [&](const char* flag, const std::string& what,
                             const std::string& value) {
     std::fprintf(stderr, "sweep_dispatch: %s: expected %s, got '%s'\n", flag,
@@ -222,6 +224,10 @@ int main(int argc, char** argv) {
       options.num_workers = int_flag(*v, "--workers", 1);
     } else if (auto v = ArgValue(arg, "--transport")) {
       transport_name = *v;
+      if (transport_name != "inprocess" && transport_name != "subprocess" &&
+          transport_name != "socket") {
+        bad_flag("--transport", "inprocess, subprocess or socket", *v);
+      }
     } else if (auto v = ArgValue(arg, "--worker-bin")) {
       worker_bin = *v;
     } else if (auto v = ArgValue(arg, "--worker-cmd")) {
@@ -404,10 +410,8 @@ int main(int argc, char** argv) {
     SocketTransport::Options sock_options;
     sock_options.command_for_worker = worker_shell;
     transport = std::make_unique<SocketTransport>(std::move(sock_options));
-  } else if (transport_name == "subprocess") {
-    transport = std::make_unique<SubprocessTransport>(worker_argv);
   } else {
-    Fail("unknown transport '" + transport_name + "'");
+    transport = std::make_unique<SubprocessTransport>(worker_argv);
   }
 
   if (verbose) {

@@ -140,8 +140,9 @@ int main(int argc, char** argv) {
   DispatchWorkerOptions worker_options;
   ShardStrategy strategy = ShardStrategy::kRoundRobin;
 
-  // Numbers are parsed strictly (whole token) and range-checked here: a malformed
-  // value is a usage error (exit 2), not a failed run (exit 1).
+  // Numbers are parsed strictly (whole token) and range-checked here, and names
+  // must be one of their choices: a malformed value is a usage error (exit 2), not
+  // a failed run (exit 1).
   const auto int_flag = [&](const std::string& value, const char* flag, int min) {
     int out = 0;
     if (!serde::ParseInt(value, &out) || out < min) {
@@ -176,7 +177,8 @@ int main(int argc, char** argv) {
     } else if (auto v = ArgValue(arg, "--strategy")) {
       const serde::Status s = ParseShardStrategy(*v, &strategy);
       if (!s) {
-        Fail(s.message);
+        std::fprintf(stderr, "sweep_shard: --strategy: %s\n", s.message.c_str());
+        Usage(argv[0]);
       }
     } else if (auto v = ArgValue(arg, "--out")) {
       out_path = *v;
