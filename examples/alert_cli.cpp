@@ -11,12 +11,9 @@
 //   alert_cli --scheme=alert --csv=/tmp/run.csv --trace-csv=/tmp/trace.csv
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <optional>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/common/serde.h"
 #include "src/harness/constraint_grid.h"
 #include "src/harness/csv.h"
@@ -41,126 +38,55 @@ struct CliOptions {
   uint64_t seed = 1;
   std::string csv_path;
   std::string trace_csv_path;
-  bool compare_static = true;
+  bool no_static = false;
 };
 
-[[noreturn]] void Usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --task=image|nlp               inference task (default image)\n"
-      "  --platform=embedded|cpu1|cpu2|gpu\n"
-      "  --contention=none|memory|compute\n"
-      "  --mode=min-energy|min-error|min-latency\n"
-      "  --scheme=alert|alert-any|alert-trad|alert-star|sys-only|app-only|no-coord|"
-      "oracle\n"
-      "  --deadline-mult=X              deadline as a multiple of the anytime DNN's\n"
-      "                                 nominal latency (default 1.25)\n"
-      "  --accuracy-goal=X              accuracy floor (min-energy/min-latency modes)\n"
-      "  --power-watts=X                energy budget as an average power envelope\n"
-      "  --inputs=N --seed=S            trace length and seed\n"
-      "  --csv=PATH                     dump per-input records\n"
-      "  --trace-csv=PATH               dump the environment trace\n"
-      "  --no-static                    skip the OracleStatic comparison\n",
-      argv0);
-  std::exit(2);
-}
-
-std::optional<std::string> ArgValue(const char* arg, const char* name) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
-}
+constexpr std::pair<std::string_view, TaskId> kTasks[] = {
+    {"image", TaskId::kImageClassification}, {"nlp", TaskId::kSentencePrediction}};
+constexpr std::pair<std::string_view, ContentionType> kContentions[] = {
+    {"none", ContentionType::kNone},
+    {"memory", ContentionType::kMemory},
+    {"compute", ContentionType::kCompute}};
+constexpr std::pair<std::string_view, GoalMode> kModes[] = {
+    {"min-energy", GoalMode::kMinimizeEnergy},
+    {"min-error", GoalMode::kMaximizeAccuracy},
+    {"min-latency", GoalMode::kMinimizeLatency}};
+constexpr std::pair<std::string_view, SchemeId> kSchemes[] = {
+    {"alert", SchemeId::kAlert},          {"alert-any", SchemeId::kAlertAny},
+    {"alert-trad", SchemeId::kAlertTrad}, {"alert-star", SchemeId::kAlertStar},
+    {"sys-only", SchemeId::kSysOnly},     {"app-only", SchemeId::kAppOnly},
+    {"no-coord", SchemeId::kNoCoord},     {"oracle", SchemeId::kOracle}};
 
 CliOptions Parse(int argc, char** argv) {
-  const std::map<std::string, TaskId> tasks = {
-      {"image", TaskId::kImageClassification}, {"nlp", TaskId::kSentencePrediction}};
-  const std::map<std::string, PlatformId> platforms = {
-      {"embedded", PlatformId::kEmbedded},
-      {"cpu1", PlatformId::kCpu1},
-      {"cpu2", PlatformId::kCpu2},
-      {"gpu", PlatformId::kGpu}};
-  const std::map<std::string, ContentionType> contentions = {
-      {"none", ContentionType::kNone},
-      {"memory", ContentionType::kMemory},
-      {"compute", ContentionType::kCompute}};
-  const std::map<std::string, GoalMode> modes = {
-      {"min-energy", GoalMode::kMinimizeEnergy},
-      {"min-error", GoalMode::kMaximizeAccuracy},
-      {"min-latency", GoalMode::kMinimizeLatency}};
-  const std::map<std::string, SchemeId> schemes = {
-      {"alert", SchemeId::kAlert},         {"alert-any", SchemeId::kAlertAny},
-      {"alert-trad", SchemeId::kAlertTrad}, {"alert-star", SchemeId::kAlertStar},
-      {"sys-only", SchemeId::kSysOnly},    {"app-only", SchemeId::kAppOnly},
-      {"no-coord", SchemeId::kNoCoord},    {"oracle", SchemeId::kOracle}};
-
   CliOptions o;
-  // Numbers are parsed strictly (whole token, finite); a malformed or out-of-range
-  // value is a usage error rather than a silent default or a crash.
-  auto bad = [&](const char* arg, const char* what) {
-    std::fprintf(stderr, "%s: expected %s\n", arg, what);
-    Usage(argv[0]);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto lookup = [&](const char* name, const auto& table, auto* out) {
-      const auto v = ArgValue(arg, name);
-      if (!v.has_value()) {
-        return false;
-      }
-      const auto it = table.find(*v);
-      if (it == table.end()) {
-        std::fprintf(stderr, "unknown value for %s: %s\n", name, v->c_str());
-        Usage(argv[0]);
-      }
-      *out = it->second;
-      return true;
-    };
-    if (lookup("--task", tasks, &o.task) || lookup("--platform", platforms, &o.platform) ||
-        lookup("--contention", contentions, &o.contention) ||
-        lookup("--mode", modes, &o.mode) || lookup("--scheme", schemes, &o.scheme)) {
-      continue;
-    }
-    if (const auto v = ArgValue(arg, "--deadline-mult")) {
-      if (!serde::ParseDouble(*v, &o.deadline_mult) || o.deadline_mult <= 0.0) {
-        bad(arg, "a finite number > 0");
-      }
-    } else if (const auto v2 = ArgValue(arg, "--accuracy-goal")) {
-      if (!serde::ParseDouble(*v2, &o.accuracy_goal) || o.accuracy_goal < 0.0 ||
-          o.accuracy_goal > 1.0) {
-        bad(arg, "a number in [0, 1]");
-      }
-    } else if (const auto v3 = ArgValue(arg, "--power-watts")) {
-      if (!serde::ParseDouble(*v3, &o.power_watts) || o.power_watts < 0.0) {
-        bad(arg, "a finite number >= 0");
-      }
-    } else if (const auto v4 = ArgValue(arg, "--inputs")) {
-      if (!serde::ParseInt(*v4, &o.inputs) || o.inputs <= 0) {
-        bad(arg, "an integer > 0");
-      }
-    } else if (const auto v5 = ArgValue(arg, "--seed")) {
-      if (!serde::ParseUint64(*v5, &o.seed)) {
-        bad(arg, "an unsigned integer");
-      }
-    } else if (const auto v6 = ArgValue(arg, "--csv")) {
-      o.csv_path = *v6;
-    } else if (const auto v7 = ArgValue(arg, "--trace-csv")) {
-      o.trace_csv_path = *v7;
-    } else if (std::strcmp(arg, "--no-static") == 0) {
-      o.compare_static = false;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg);
-      Usage(argv[0]);
-    }
-  }
+  flags::Parser cli(
+      "alert_cli", "[options]",
+      {flags::Choice("--task=NAME", &o.task, kTasks, "inference task"),
+       flags::Choice("--platform=NAME", &o.platform, kPlatformTokens, "platform"),
+       flags::Choice("--contention=NAME", &o.contention, kContentions,
+                     "co-running contention"),
+       flags::Choice("--mode=NAME", &o.mode, kModes, "goal mode"),
+       flags::Choice("--scheme=NAME", &o.scheme, kSchemes, "scheduling scheme"),
+       flags::Double("--deadline-mult=X", &o.deadline_mult, 0.0, flags::kUnbounded,
+                     "deadline as a multiple of the anytime DNN's nominal latency",
+                     flags::Bound::kExclusive),
+       flags::Double("--accuracy-goal=X", &o.accuracy_goal, 0.0, 1.0,
+                     "accuracy floor (min-energy/min-latency modes;\n"
+                     "0 = the task's mid-grid goal)"),
+       flags::Double("--power-watts=X", &o.power_watts, 0.0, flags::kUnbounded,
+                     "energy budget as an average power envelope\n"
+                     "(0 = 0.8 x the platform's maximum)"),
+       flags::Int("--inputs=N", &o.inputs, 1, "trace length"),
+       flags::Int("--seed=S", &o.seed, 0, "trace seed"),
+       flags::String("--csv=PATH", &o.csv_path, "dump per-input records"),
+       flags::String("--trace-csv=PATH", &o.trace_csv_path, "dump the environment trace"),
+       flags::Switch("--no-static", &o.no_static, "skip the OracleStatic comparison")});
+  cli.Parse(argc, argv);
   if (o.task == TaskId::kSentencePrediction && o.platform == PlatformId::kGpu) {
-    std::fprintf(stderr, "the sentence task does not run on the GPU (paper fn. 4)\n");
-    std::exit(2);
+    cli.Fail("the sentence task does not run on the GPU (paper fn. 4)");
   }
   if (o.task == TaskId::kImageClassification && o.platform == PlatformId::kEmbedded) {
-    std::fprintf(stderr, "image models are OOM on the embedded board (paper Fig. 4)\n");
-    std::exit(2);
+    cli.Fail("image models are OOM on the embedded board (paper Fig. 4)");
   }
   return o;
 }
@@ -213,7 +139,7 @@ int main(int argc, char** argv) {
   std::printf("violations%8.1f %%  -> setting %s\n", 100.0 * run.violation_fraction,
               SettingViolated(goals, run) ? "VIOLATED" : "satisfied");
 
-  if (cli.compare_static) {
+  if (!cli.no_static) {
     const StaticOracleResult st = FindStaticOracle(experiment, stack, goals);
     const double metric = MetricValue(cli.mode, cli.task, run);
     const double static_metric = MetricValue(cli.mode, cli.task, st.result);

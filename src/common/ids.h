@@ -4,6 +4,7 @@
 #define SRC_COMMON_IDS_H_
 
 #include <string_view>
+#include <utility>
 
 namespace alert {
 
@@ -15,6 +16,13 @@ enum class PlatformId : int {
   kGpu = 3,       // RTX 2080 discrete GPU
 };
 inline constexpr int kNumPlatforms = 4;
+
+// The platforms' command-line tokens, shared by every binary's --platform flag.
+inline constexpr std::pair<std::string_view, PlatformId> kPlatformTokens[] = {
+    {"embedded", PlatformId::kEmbedded},
+    {"cpu1", PlatformId::kCpu1},
+    {"cpu2", PlatformId::kCpu2},
+    {"gpu", PlatformId::kGpu}};
 
 // Table 2 tasks.
 enum class TaskId : int {

@@ -39,20 +39,6 @@ std::string_view SweepCacheModeName(SweepCacheMode mode) {
   return "?";
 }
 
-serde::Status ParseSweepCacheMode(std::string_view name, SweepCacheMode* out) {
-  if (name == "off") {
-    *out = SweepCacheMode::kOff;
-  } else if (name == "read") {
-    *out = SweepCacheMode::kRead;
-  } else if (name == "readwrite") {
-    *out = SweepCacheMode::kReadWrite;
-  } else {
-    return serde::Error("unknown cache mode '" + std::string(name) +
-                        "' (expected off, read or readwrite)");
-  }
-  return serde::Ok();
-}
-
 uint64_t SweepUnitFingerprint(const SweepSpec& spec, const SweepUnit& unit) {
   // A canonical record of everything the unit's execution reads — and nothing
   // positional.  The unit id and the surrounding plan are deliberately absent; the
@@ -235,14 +221,10 @@ serde::Status SweepResultCache::Save() const {
 }
 
 serde::Status ResolveSweepCacheMode(const std::string& cache_dir,
-                                    const std::string& flag, SweepCacheMode* out) {
-  *out = cache_dir.empty() ? SweepCacheMode::kOff : SweepCacheMode::kReadWrite;
-  if (!flag.empty()) {
-    const serde::Status s = ParseSweepCacheMode(flag, out);
-    if (!s) {
-      return serde::Wrap("--cache", s);
-    }
-  }
+                                    std::optional<SweepCacheMode> flag,
+                                    SweepCacheMode* out) {
+  *out = flag.value_or(cache_dir.empty() ? SweepCacheMode::kOff
+                                         : SweepCacheMode::kReadWrite);
   if (*out != SweepCacheMode::kOff && cache_dir.empty()) {
     return serde::Error("--cache=" + std::string(SweepCacheModeName(*out)) +
                         " needs --cache-dir");

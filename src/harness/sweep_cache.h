@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -58,7 +59,6 @@ enum class SweepCacheMode : int {
 
 // Stable lowercase token ("off" / "read" / "readwrite"); the CLI flag vocabulary.
 std::string_view SweepCacheModeName(SweepCacheMode mode);
-serde::Status ParseSweepCacheMode(std::string_view name, SweepCacheMode* out);
 
 // Content fingerprint of one unit (see the header comment): position-independent,
 // spec-edit-stable.  `unit` must carry the same shared knobs as `spec` (true for any
@@ -121,9 +121,10 @@ struct SweepCacheRunStats {
 
 // Resolves the --cache-dir/--cache flag pair: no dir => kOff, a dir defaults to
 // kReadWrite, an explicit --cache value overrides; a non-off mode without a dir is
-// an error.  `flag` is the raw --cache value ("" when the flag was not given).
+// an error.  `flag` is the parsed --cache value (nullopt when it was not given).
 serde::Status ResolveSweepCacheMode(const std::string& cache_dir,
-                                    const std::string& flag, SweepCacheMode* out);
+                                    std::optional<SweepCacheMode> flag,
+                                    SweepCacheMode* out);
 
 // Creates `dir` if needed and opens `dir`/units.cache in `mode` (which must not be
 // kOff).

@@ -24,15 +24,17 @@
 // environment variable; the flag wins.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/common/json.h"
 #include "src/common/serde.h"
 
 namespace {
+
+namespace flags = alert::flags;
 
 alert::JsonValue LoadJson(const std::string& path) {
   std::ifstream in(path);
@@ -61,44 +63,30 @@ bool IsSimdMetric(const std::string& name) {
 int main(int argc, char** argv) {
   std::string baseline_path;
   std::string current_path;
-  // Both threshold sources parse strictly: a NaN threshold would make every floor
-  // NaN, no comparison could fail, and the gate would pass everything.
+  // Both threshold sources parse strictly, through the same table entry: a NaN
+  // threshold would make every floor NaN, no comparison could fail, and the gate
+  // would pass everything.
   double threshold = 0.35;
-  if (const char* env = std::getenv("BENCH_MAX_REGRESSION")) {
-    if (!alert::serde::ParseDouble(env, &threshold)) {
-      std::fprintf(stderr, "bench_check: BENCH_MAX_REGRESSION must be a finite "
-                   "number, got '%s'\n", env);
-      return 2;
-    }
-  }
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--current=", 0) == 0) {
-      current_path = arg.substr(10);
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      if (!alert::serde::ParseDouble(arg.substr(12), &threshold)) {
-        std::fprintf(stderr, "bench_check: --threshold must be a finite number, got "
-                     "'%s'\n", arg.c_str() + 12);
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "bench_check: unknown flag %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (baseline_path.empty() || current_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: bench_check --baseline=FILE --current=FILE "
-                 "[--threshold=0.35]\n");
+  flags::Flag threshold_flag = flags::Double(
+      "--threshold=F", &threshold, 0.0, 1.0,
+      "fractional allowed drop per derived metric; the\n"
+      "BENCH_MAX_REGRESSION environment variable sets it\n"
+      "too, and the flag wins",
+      flags::Bound::kExclusive, flags::Bound::kExclusive);
+  if (const char* env = std::getenv("BENCH_MAX_REGRESSION");
+      env != nullptr && !threshold_flag.set(env)) {
+    std::fprintf(stderr, "bench_check: BENCH_MAX_REGRESSION: expected %s, got '%s'\n",
+                 threshold_flag.expect.c_str(), env);
     return 2;
   }
-  if (threshold <= 0.0 || threshold >= 1.0) {
-    std::fprintf(stderr, "bench_check: threshold must be in (0, 1), got %g\n",
-                 threshold);
-    return 2;
-  }
+  flags::Parser("bench_check", "--baseline=FILE --current=FILE [--threshold=F]",
+                {flags::String("--baseline=FILE", &baseline_path,
+                               "the committed report in bench/trajectory/")
+                     .Required(),
+                 flags::String("--current=FILE", &current_path, "the fresh report")
+                     .Required(),
+                 std::move(threshold_flag)})
+      .Parse(argc, argv);
 
   const alert::JsonValue baseline = LoadJson(baseline_path);
   const alert::JsonValue current = LoadJson(current_path);

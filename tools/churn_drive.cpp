@@ -11,12 +11,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/serde.h"
 #include "src/daemon/churn_sim.h"
 
@@ -25,35 +24,11 @@ using namespace alert::daemon;
 
 namespace {
 
-[[noreturn]] void Usage(const char* argv0) {
-  std::printf(
-      "usage: %s --mode=drive|replay --out=FILE [options]\n"
-      "  --mode=M        drive (over TCP) or replay (offline oracle)\n"
-      "  --out=FILE      write the transcript here, one reply line per line\n"
-      "  --host=H        daemon host (drive mode, default 127.0.0.1)\n"
-      "  --port=N        daemon port (drive mode)\n"
-      "  --port-file=P   read the daemon port from this file (waits up to 10s)\n"
-      "  --seed=N        churn script seed (default 1)\n"
-      "  --tenants=K     tenant universe size (default 8)\n"
-      "  --events=N      script length (default 64)\n"
-      "  --budget=W      initial power budget (default 200)\n"
-      "  --platform=NAME embedded|cpu1|cpu2|gpu (default cpu1)\n"
-      "  --timeout-ms=N  per-reply read timeout in drive mode (default 10000)\n",
-      argv0);
-  std::exit(2);
-}
+enum class Mode { kDrive, kReplay };
 
 [[noreturn]] void Fail(const std::string& message) {
   std::fprintf(stderr, "churn_drive: %s\n", message.c_str());
   std::exit(1);
-}
-
-std::optional<std::string> ArgValue(const char* arg, const char* name) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
 }
 
 // The daemon writes its port file after binding; give a freshly launched daemon a
@@ -61,9 +36,10 @@ std::optional<std::string> ArgValue(const char* arg, const char* name) {
 int AwaitPortFile(const std::string& path) {
   for (int attempt = 0; attempt < 500; ++attempt) {
     std::string text;
-    if (serde::ReadFile(path, &text) && !text.empty()) {
-      const int port = std::atoi(text.c_str());
-      if (port > 0) {
+    int port = 0;
+    if (serde::ReadFile(path, &text)) {
+      text.erase(text.find_last_not_of(" \t\r\n") + 1);  // npos + 1 == 0: all blank
+      if (serde::ParseInt(text, &port) && port > 0) {
         return port;
       }
     }
@@ -75,85 +51,47 @@ int AwaitPortFile(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string mode;
+  Mode mode = Mode::kDrive;
   std::string out_path;
   std::string host = "127.0.0.1";
   std::string port_file;
   int port = 0;
   int timeout_ms = 10000;
   ChurnScriptOptions options;
-
-  // Numbers are parsed strictly (whole token, finite) and range-checked here, so a
-  // malformed value is a usage error instead of a silent 0 or an abort further in.
-  auto bad = [&](const char* arg, const char* what) {
-    std::fprintf(stderr, "churn_drive: %s: expected %s\n", arg, what);
-    Usage(argv[0]);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (auto v = ArgValue(arg, "--mode")) {
-      mode = *v;
-    } else if (auto v = ArgValue(arg, "--out")) {
-      out_path = *v;
-    } else if (auto v = ArgValue(arg, "--host")) {
-      host = *v;
-    } else if (auto v = ArgValue(arg, "--port")) {
-      if (!serde::ParseInt(*v, &port) || port <= 0 || port > 65535) {
-        bad(arg, "a TCP port in 1-65535");
-      }
-    } else if (auto v = ArgValue(arg, "--port-file")) {
-      port_file = *v;
-    } else if (auto v = ArgValue(arg, "--seed")) {
-      if (!serde::ParseUint64(*v, &options.seed)) {
-        bad(arg, "an unsigned integer");
-      }
-    } else if (auto v = ArgValue(arg, "--tenants")) {
-      if (!serde::ParseInt(*v, &options.max_tenants) || options.max_tenants <= 0) {
-        bad(arg, "an integer > 0");
-      }
-    } else if (auto v = ArgValue(arg, "--events")) {
-      if (!serde::ParseInt(*v, &options.num_events) || options.num_events <= 0) {
-        bad(arg, "an integer > 0");
-      }
-    } else if (auto v = ArgValue(arg, "--budget")) {
-      if (!serde::ParseDouble(*v, &options.initial_budget) ||
-          options.initial_budget <= 0.0) {
-        bad(arg, "a finite number > 0");
-      }
-    } else if (auto v = ArgValue(arg, "--platform")) {
-      if (*v == "embedded") {
-        options.platform = PlatformId::kEmbedded;
-      } else if (*v == "cpu1") {
-        options.platform = PlatformId::kCpu1;
-      } else if (*v == "cpu2") {
-        options.platform = PlatformId::kCpu2;
-      } else if (*v == "gpu") {
-        options.platform = PlatformId::kGpu;
-      } else {
-        Fail("unknown platform '" + *v + "'");
-      }
-    } else if (auto v = ArgValue(arg, "--timeout-ms")) {
-      if (!serde::ParseInt(*v, &timeout_ms) || timeout_ms <= 0) {
-        bad(arg, "an integer > 0");
-      }
-    } else {
-      Usage(argv[0]);
-    }
-  }
-  if (out_path.empty() || (mode != "drive" && mode != "replay")) {
-    Usage(argv[0]);
+  constexpr std::pair<std::string_view, Mode> kModes[] = {{"drive", Mode::kDrive},
+                                                          {"replay", Mode::kReplay}};
+  flags::Parser cli(
+      "churn_drive", "--mode=drive|replay --out=FILE [options]",
+      {flags::Choice("--mode=M", &mode, kModes,
+                     "drive (a live daemon over TCP) or replay (the offline oracle)")
+           .Required(),
+       flags::String("--out=FILE", &out_path,
+                     "write the transcript here, one reply line per line")
+           .Required(),
+       flags::String("--host=H", &host, "daemon host (drive mode)"),
+       flags::Int("--port=N", &port, 1, 65535, "daemon port (drive mode)"),
+       flags::String("--port-file=P", &port_file,
+                     "read the daemon port from this file (waits up to 10 s)"),
+       flags::Int("--seed=N", &options.seed, 0, "churn script seed"),
+       flags::Int("--tenants=K", &options.max_tenants, 1, "tenant universe size"),
+       flags::Int("--events=N", &options.num_events, 1, "script length"),
+       flags::Double("--budget=W", &options.initial_budget, 0.0, flags::kUnbounded,
+                     "initial power budget in watts", flags::Bound::kExclusive),
+       flags::Choice("--platform=NAME", &options.platform, kPlatformTokens,
+                     "hardware platform of every tenant"),
+       flags::Int("--timeout-ms=N", &timeout_ms, 1, "per-reply read timeout (drive)")});
+  cli.Parse(argc, argv);
+  if (mode == Mode::kDrive && port == 0 && port_file.empty()) {
+    cli.Fail("drive mode needs --port or --port-file");
   }
 
   const ChurnScript script = MakeChurnScript(options);
   std::vector<std::string> transcript;
   bool failed = false;
 
-  if (mode == "drive") {
+  if (mode == Mode::kDrive) {
     if (!port_file.empty()) {
       port = AwaitPortFile(port_file);
-    }
-    if (port <= 0) {
-      Fail("drive mode needs --port or --port-file");
     }
     ChurnDriverBackend backend(host, port, timeout_ms);
     transcript = RunChurnScript(script, backend);
@@ -173,7 +111,8 @@ int main(int argc, char** argv) {
     Fail(status.message);
   }
   std::fprintf(stderr, "churn_drive: %s mode, %d events, %d rounds, %zu reply lines%s\n",
-               mode.c_str(), options.num_events, script.num_rounds, transcript.size(),
+               mode == Mode::kDrive ? "drive" : "replay", options.num_events,
+               script.num_rounds, transcript.size(),
                failed ? " (TRANSPORT FAILURE)" : "");
   return failed ? 1 : 0;
 }

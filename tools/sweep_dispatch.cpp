@@ -26,14 +26,14 @@
 // docs/DISTRIBUTED.md.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/harness/dispatch.h"
 #include "src/harness/sweep_cache.h"
 #include "src/harness/sweep_io.h"
@@ -44,81 +44,28 @@ using namespace alert;
 
 namespace {
 
-[[noreturn]] void Usage(const char* argv0) {
-  std::printf(
-      "usage: %s --spec=FILE --workers=K [options]\n"
-      "  --spec=FILE            sweep spec (sweep_shard --write-default-spec writes one)\n"
-      "  --workers=K            number of workers in the initial wave\n"
-      "  --transport=inprocess|subprocess|socket   (default subprocess)\n"
-      "  --worker-bin=PATH      sweep_shard binary for the subprocess and socket\n"
-      "                         transports (default: sweep_shard next to this binary)\n"
-      "  --worker-cmd=TEMPLATE  shell command per worker for the subprocess and socket\n"
-      "                         transports, run under /bin/sh -c instead of the\n"
-      "                         built-in sweep_shard argv; {worker} expands to the\n"
-      "                         launch index and {port} (socket) to the TCP port\n"
-      "                         that launch listens on (each worker gets its own).\n"
-      "                         Cannot be combined with --inject-*\n"
-      "  --target-lease-ms=N    size each lease to ~N ms of predicted work\n"
-      "                         (default 1000)\n"
-      "  --max-lease-units=N    cap on units per lease (default 64); a\n"
-      "                         warm lease that reaches a limit mid replay row\n"
-      "                         takes the rest of the row\n"
-      "  --initial-cost-rate=R  seed the cost model at R ms per cost point instead\n"
-      "                         of learning from the first results (default 0 = learn)\n"
-      "  --no-steal             disable lease stealing for idle workers\n"
-      "  --pipeline-leases      send each worker its next lease while the current\n"
-      "                         one drains (hides the request/grant round trip on\n"
-      "                         ssh-style transports)\n"
-      "  --checkpoint-dir=DIR   journal merged results to DIR/checkpoint.sweep\n"
-      "                         (append-only); on startup an existing checkpoint for\n"
-      "                         this plan is preseeded, so a killed dispatch resumes\n"
-      "                         with only unfinished units.  A torn last record is\n"
-      "                         dropped; any other corruption or a wrong-plan\n"
-      "                         checkpoint is a hard error\n"
-      "  --checkpoint-every=N   append to the checkpoint after every N newly merged\n"
-      "                         results (default 1)\n"
-      "  --stats                print a dispatch-stats record (incl. per-worker\n"
-      "                         ms-per-cost rates and total grant-wait idle time) to\n"
-      "                         stdout after the sweep\n"
-      "  --worker-threads=N     threads per worker (default 0 = hardware)\n"
-      "  --heartbeat-ms=N       worker heartbeat interval (default 5000; 0 disables\n"
-      "                         — then rely on --cost-factor for long units)\n"
-      "  --deadline-ms=N        straggler silence deadline (default 60000)\n"
-      "  --cost-factor=F        stretch the deadline to F x the predicted time of a\n"
-      "                         lease's largest unit when longer (default 4.0;\n"
-      "                         0 disables the scaling)\n"
-      "  --global-deadline-ms=N abort the dispatch after N ms (default 600000)\n"
-      "  --max-launches=N       total launch budget incl. replacements (default K+8)\n"
-      "  --out=CSV              write the aggregate CSV here\n"
-      "  --print                print the aggregate CSV to stdout\n"
-      "  --cache-dir=DIR        persistent unit-result cache: cached units are merged\n"
-      "                         as preseeded deliveries and never dispatched, so a\n"
-      "                         re-run after a spec edit ships only the changed units\n"
-      "  --cache=off|read|readwrite  cache mode (default readwrite with --cache-dir)\n"
-      "  --cache-stats=FILE     write a one-record cache-stats file\n"
-      "  --inject-fail=I:N      (testing) worker launch index I dies after N results\n"
-      "  --inject-hang=I:N      (testing) worker I goes silent after N results\n"
-      "  --inject-dup=I         (testing) worker I sends every result twice\n"
-      "  --inject-delay=I:N     (testing) worker I sleeps N ms per unit (slow machine)\n"
-      "  --crash-after=N        (testing) kill the dispatcher after N merged results\n"
-      "                         (exits nonzero; pair with --checkpoint-dir + a rerun\n"
-      "                         to exercise resume)\n"
-      "  -v                     log dispatch events to stderr\n",
-      argv0);
-  std::exit(2);
-}
+enum class TransportKind { kInProcess, kSubprocess, kSocket };
 
 [[noreturn]] void Fail(const std::string& message) {
   std::fprintf(stderr, "sweep_dispatch: %s\n", message.c_str());
   std::exit(1);
 }
 
-std::optional<std::string> ArgValue(const char* arg, const char* name) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
+// The --inject-* value parser: "I:N" -> into[I] = N, both non-negative (the first
+// value given for I wins).
+std::function<bool(std::string_view)> IndexCount(std::map<int, int>* into) {
+  return [into](std::string_view value) {
+    const size_t colon = value.find(':');
+    int index = 0;
+    int count = 0;
+    if (colon == std::string_view::npos ||
+        !serde::ParseInt(value.substr(0, colon), &index) ||
+        !serde::ParseInt(value.substr(colon + 1), &count) || index < 0 || count < 0) {
+      return false;
+    }
+    into->emplace(index, count);
+    return true;
+  };
 }
 
 void ExpandToken(std::string* text, const std::string& token,
@@ -165,140 +112,140 @@ std::string DefaultWorkerBin(const char* argv0) {
 int main(int argc, char** argv) {
   std::string spec_path;
   std::string out_path;
-  std::string transport_name = "subprocess";
+  TransportKind transport_kind = TransportKind::kSubprocess;
   std::string worker_bin = DefaultWorkerBin(argv[0]);
   std::string worker_cmd;
   bool print = false;
   bool verbose = false;
   bool show_stats = false;
-  int worker_threads = 0;
+  bool no_steal = false;
   std::string checkpoint_dir;
   std::string cache_dir;
-  std::string cache_mode_flag;
+  std::optional<SweepCacheMode> cache_flag;
   std::string cache_stats_path;
   DispatchOptions options;
-  options.num_workers = -1;
-  std::map<int, int> inject_fail;
-  std::map<int, int> inject_hang;
-  std::map<int, int> inject_delay;
-  std::set<int> inject_dup;
-  int heartbeat_ms = 5000;
-
-  // Numbers are parsed strictly (whole token, finite) and range-checked here, and
-  // names must be one of their choices: a malformed value is a usage error (exit 2),
-  // not a failed run (exit 1).
-  const auto bad_flag = [&](const char* flag, const std::string& what,
-                            const std::string& value) {
-    std::fprintf(stderr, "sweep_dispatch: %s: expected %s, got '%s'\n", flag,
-                 what.c_str(), value.c_str());
-    Usage(argv[0]);
-  };
-  const auto int_flag = [&](const std::string& value, const char* flag, int min) {
-    int out = 0;
-    if (!serde::ParseInt(value, &out) || out < min) {
-      bad_flag(flag, "an integer >= " + std::to_string(min), value);
-    }
-    return out;
-  };
-  const auto double_flag = [&](const std::string& value, const char* flag) {
-    double out = 0.0;
-    if (!serde::ParseDouble(value, &out) || out < 0.0) {
-      bad_flag(flag, "a finite number >= 0", value);
-    }
-    return out;
-  };
-  // "I:N" -> (I, N) for the injection flags; both non-negative.
-  const auto index_count_flag = [&](const std::string& value, const char* flag) {
-    const size_t colon = value.find(':');
-    if (colon == std::string::npos) {
-      bad_flag(flag, "I:N", value);
-    }
-    return std::pair<int, int>{int_flag(value.substr(0, colon), flag, 0),
-                               int_flag(value.substr(colon + 1), flag, 0)};
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (auto v = ArgValue(arg, "--spec")) {
-      spec_path = *v;
-    } else if (auto v = ArgValue(arg, "--workers")) {
-      options.num_workers = int_flag(*v, "--workers", 1);
-    } else if (auto v = ArgValue(arg, "--transport")) {
-      transport_name = *v;
-      if (transport_name != "inprocess" && transport_name != "subprocess" &&
-          transport_name != "socket") {
-        bad_flag("--transport", "inprocess, subprocess or socket", *v);
-      }
-    } else if (auto v = ArgValue(arg, "--worker-bin")) {
-      worker_bin = *v;
-    } else if (auto v = ArgValue(arg, "--worker-cmd")) {
-      worker_cmd = *v;
-    } else if (auto v = ArgValue(arg, "--worker-threads")) {
-      worker_threads = int_flag(*v, "--worker-threads", 0);
-    } else if (auto v = ArgValue(arg, "--target-lease-ms")) {
-      options.target_lease_ms = int_flag(*v, "--target-lease-ms", 1);
-    } else if (auto v = ArgValue(arg, "--max-lease-units")) {
-      options.max_lease_units = int_flag(*v, "--max-lease-units", 1);
-    } else if (auto v = ArgValue(arg, "--initial-cost-rate")) {
-      options.initial_cost_rate_ms = double_flag(*v, "--initial-cost-rate");
-    } else if (std::strcmp(arg, "--no-steal") == 0) {
-      options.enable_steal = false;
-    } else if (std::strcmp(arg, "--pipeline-leases") == 0) {
-      options.pipeline_leases = true;
-    } else if (auto v = ArgValue(arg, "--checkpoint-dir")) {
-      checkpoint_dir = *v;
-    } else if (auto v = ArgValue(arg, "--checkpoint-every")) {
-      options.checkpoint_every = int_flag(*v, "--checkpoint-every", 1);
-    } else if (auto v = ArgValue(arg, "--crash-after")) {
-      options.crash_after_results = int_flag(*v, "--crash-after", 0);
-    } else if (std::strcmp(arg, "--stats") == 0) {
-      show_stats = true;
-    } else if (auto v = ArgValue(arg, "--cost-factor")) {
-      options.straggler_cost_factor = double_flag(*v, "--cost-factor");
-    } else if (auto v = ArgValue(arg, "--heartbeat-ms")) {
-      heartbeat_ms = int_flag(*v, "--heartbeat-ms", 0);
-    } else if (auto v = ArgValue(arg, "--deadline-ms")) {
-      options.straggler_deadline_ms = int_flag(*v, "--deadline-ms", 0);
-    } else if (auto v = ArgValue(arg, "--global-deadline-ms")) {
-      options.global_deadline_ms = int_flag(*v, "--global-deadline-ms", 0);
-    } else if (auto v = ArgValue(arg, "--max-launches")) {
-      options.max_worker_launches = int_flag(*v, "--max-launches", 0);
-    } else if (auto v = ArgValue(arg, "--out")) {
-      out_path = *v;
-    } else if (auto v = ArgValue(arg, "--cache-dir")) {
-      cache_dir = *v;
-    } else if (auto v = ArgValue(arg, "--cache")) {
-      cache_mode_flag = *v;
-    } else if (auto v = ArgValue(arg, "--cache-stats")) {
-      cache_stats_path = *v;
-    } else if (auto v = ArgValue(arg, "--inject-fail")) {
-      inject_fail.insert(index_count_flag(*v, "--inject-fail"));
-    } else if (auto v = ArgValue(arg, "--inject-hang")) {
-      inject_hang.insert(index_count_flag(*v, "--inject-hang"));
-    } else if (auto v = ArgValue(arg, "--inject-dup")) {
-      inject_dup.insert(int_flag(*v, "--inject-dup", 0));
-    } else if (auto v = ArgValue(arg, "--inject-delay")) {
-      inject_delay.insert(index_count_flag(*v, "--inject-delay"));
-    } else if (std::strcmp(arg, "--print") == 0) {
-      print = true;
-    } else if (std::strcmp(arg, "-v") == 0) {
-      verbose = true;
-    } else {
-      Usage(argv[0]);
-    }
-  }
-  if (spec_path.empty() || options.num_workers <= 0 || (out_path.empty() && !print)) {
-    Usage(argv[0]);
+  // The worker knobs and injections, for every transport: in-process workers take
+  // them as they are, process workers as sweep_shard --worker flags.
+  InProcessTransport::Options workers;
+  workers.threads = 0;
+  constexpr std::pair<std::string_view, TransportKind> kTransports[] = {
+      {"inprocess", TransportKind::kInProcess},
+      {"subprocess", TransportKind::kSubprocess},
+      {"socket", TransportKind::kSocket}};
+  flags::Parser cli(
+      "sweep_dispatch", "--spec=FILE --workers=K (--out=CSV | --print) [options]",
+      {flags::String("--spec=FILE", &spec_path,
+                     "sweep spec (sweep_shard --write-default-spec writes one)")
+           .Required(),
+       flags::Int("--workers=K", &options.num_workers, 1,
+                  "number of workers in the initial wave")
+           .Required(),
+       flags::Choice("--transport=NAME", &transport_kind, kTransports,
+                     "worker threads, or sweep_shard children over pipes or TCP"),
+       flags::String("--worker-bin=PATH", &worker_bin,
+                     "sweep_shard binary for the subprocess and socket\n"
+                     "transports (the default sits next to this binary)"),
+       flags::String("--worker-cmd=TEMPLATE", &worker_cmd,
+                     "shell command per process worker, run under /bin/sh -c\n"
+                     "instead of the built-in argv; {worker} expands to the\n"
+                     "launch index, {port} to that launch's TCP port\n"
+                     "(socket).  Cannot be combined with --inject-*"),
+       flags::Int("--target-lease-ms=N", &options.target_lease_ms, 1,
+                  "size each lease to ~N ms of predicted work"),
+       flags::Int("--max-lease-units=N", &options.max_lease_units, 1,
+                  "cap on units per lease; a warm lease that reaches\n"
+                  "a limit mid replay row takes the rest of the row"),
+       flags::Double("--initial-cost-rate=R", &options.initial_cost_rate_ms, 0.0,
+                     flags::kUnbounded,
+                     "seed the cost model at R ms per cost point instead\n"
+                     "of learning from the first results (0 = learn)"),
+       flags::Switch("--no-steal", &no_steal, "disable lease stealing for idle workers"),
+       flags::Switch("--pipeline-leases", &options.pipeline_leases,
+                     "grant each worker its next lease while the current one\n"
+                     "drains (hides the round trip on ssh-style transports)"),
+       flags::String("--checkpoint-dir=DIR", &checkpoint_dir,
+                     "journal merged results to DIR/checkpoint.sweep; a rerun\n"
+                     "resumes from it with only the unfinished units (a torn\n"
+                     "last record is dropped, other damage is an error)"),
+       flags::Int("--checkpoint-every=N", &options.checkpoint_every, 1,
+                  "append to the checkpoint every N merged results"),
+       flags::Switch("--stats", &show_stats,
+                     "print dispatch-stats and per-worker rate records to\n"
+                     "stdout after the sweep"),
+       flags::Int("--worker-threads=N", &workers.threads, 0,
+                  "threads per worker (0 = hardware)"),
+       flags::Int("--heartbeat-ms=N", &workers.heartbeat_interval_ms, 0,
+                  "worker heartbeat interval (0 disables; then rely\n"
+                  "on --cost-factor for long units)"),
+       flags::Int("--deadline-ms=N", &options.straggler_deadline_ms, 0,
+                  "straggler silence deadline"),
+       flags::Double("--cost-factor=F", &options.straggler_cost_factor, 0.0,
+                     flags::kUnbounded,
+                     "stretch the deadline to F x the predicted time of a\n"
+                     "lease's largest unit when longer (0 disables)"),
+       flags::Int("--global-deadline-ms=N", &options.global_deadline_ms, 0,
+                  "abort the dispatch after N ms (0 = never)"),
+       flags::Int("--max-launches=N", &options.max_worker_launches, 0,
+                  "total launch budget incl. replacements (0 = K+8)"),
+       flags::String("--out=CSV", &out_path, "write the aggregate CSV here"),
+       flags::Switch("--print", &print, "print the aggregate CSV to stdout"),
+       flags::String("--cache-dir=DIR", &cache_dir,
+                     "persistent unit-result cache: cached units are merged\n"
+                     "up front and never dispatched"),
+       flags::Choice("--cache=MODE", &cache_flag,
+                     flags::Named({SweepCacheMode::kOff, SweepCacheMode::kRead,
+                                   SweepCacheMode::kReadWrite},
+                                  SweepCacheModeName),
+                     "cache mode (default readwrite with --cache-dir, else off)"),
+       flags::String("--cache-stats=FILE", &cache_stats_path,
+                     "write a one-record cache-stats file"),
+       flags::Value("--inject-fail=I:N", "I:N with I, N >= 0",
+                    IndexCount(&workers.fail_after),
+                    "(testing) worker launch index I dies after N results")
+           .Repeatable(),
+       flags::Value("--inject-hang=I:N", "I:N with I, N >= 0",
+                    IndexCount(&workers.hang_after),
+                    "(testing) worker I goes silent after N results")
+           .Repeatable(),
+       flags::Value("--inject-dup=I", "an integer >= 0",
+                    [&](std::string_view v) {
+                      int index = 0;
+                      if (!serde::ParseInt(v, &index) || index < 0) {
+                        return false;
+                      }
+                      workers.duplicate_results.insert(index);
+                      return true;
+                    },
+                    "(testing) worker I sends every result twice")
+           .Repeatable(),
+       flags::Value("--inject-delay=I:N", "I:N with I, N >= 0",
+                    IndexCount(&workers.delay_per_result),
+                    "(testing) worker I sleeps N ms per unit (slow machine)")
+           .Repeatable(),
+       flags::Int("--crash-after=N", &options.crash_after_results, 0,
+                  "(testing) kill the dispatcher after N merged results\n"
+                  "(pair with --checkpoint-dir to exercise a resume)"),
+       flags::Switch("-v", &verbose, "log dispatch events to stderr")});
+  cli.Parse(argc, argv);
+  options.enable_steal = !no_steal;
+  if (out_path.empty() && !print) {
+    cli.Fail("missing --out=CSV or --print");
   }
   // A --worker-cmd template renders its own worker flags: injection flags would
   // never reach a process worker.
-  if (!worker_cmd.empty() && transport_name != "inprocess" &&
-      (!inject_fail.empty() || !inject_hang.empty() || !inject_dup.empty() ||
-       !inject_delay.empty())) {
-    Fail("--inject-* flags cannot be combined with --worker-cmd");
+  if (!worker_cmd.empty() && transport_kind != TransportKind::kInProcess &&
+      (!workers.fail_after.empty() || !workers.hang_after.empty() ||
+       !workers.duplicate_results.empty() || !workers.delay_per_result.empty())) {
+    cli.Fail("--inject-* flags cannot be combined with --worker-cmd");
+  }
+  SweepCacheMode cache_mode = SweepCacheMode::kOff;
+  serde::Status s = ResolveSweepCacheMode(cache_dir, cache_flag, &cache_mode);
+  if (!s) {
+    cli.Fail(s.message);
   }
 
   std::string spec_text;
-  serde::Status s = serde::ReadFile(spec_path, &spec_text);
+  s = serde::ReadFile(spec_path, &spec_text);
   if (!s) {
     Fail(s.message);
   }
@@ -309,11 +256,6 @@ int main(int argc, char** argv) {
   }
   const SweepPlan plan = BuildSweepPlan(spec);
 
-  SweepCacheMode cache_mode = SweepCacheMode::kOff;
-  s = ResolveSweepCacheMode(cache_dir, cache_mode_flag, &cache_mode);
-  if (!s) {
-    Fail(s.message);
-  }
   SweepResultCache cache;
   SweepCacheRunStats cache_stats;
   if (cache_mode != SweepCacheMode::kOff) {
@@ -364,19 +306,22 @@ int main(int argc, char** argv) {
     if (!worker_cmd.empty()) {
       return {"/bin/sh", "-c", ExpandWorkerTemplate(worker_cmd, worker_index)};
     }
-    std::vector<std::string> argvv = {worker_bin, "--worker",
-                                      "--threads=" + std::to_string(worker_threads),
-                                      "--heartbeat-ms=" + std::to_string(heartbeat_ms)};
-    if (const auto it = inject_fail.find(worker_index); it != inject_fail.end()) {
+    std::vector<std::string> argvv = {
+        worker_bin, "--worker", "--threads=" + std::to_string(workers.threads),
+        "--heartbeat-ms=" + std::to_string(workers.heartbeat_interval_ms)};
+    if (const auto it = workers.fail_after.find(worker_index);
+        it != workers.fail_after.end()) {
       argvv.push_back("--worker-fail-after=" + std::to_string(it->second));
     }
-    if (const auto it = inject_hang.find(worker_index); it != inject_hang.end()) {
+    if (const auto it = workers.hang_after.find(worker_index);
+        it != workers.hang_after.end()) {
       argvv.push_back("--worker-hang-after=" + std::to_string(it->second));
     }
-    if (const auto it = inject_delay.find(worker_index); it != inject_delay.end()) {
+    if (const auto it = workers.delay_per_result.find(worker_index);
+        it != workers.delay_per_result.end()) {
       argvv.push_back("--worker-delay-ms=" + std::to_string(it->second));
     }
-    if (inject_dup.count(worker_index) > 0) {
+    if (workers.duplicate_results.count(worker_index) > 0) {
       argvv.push_back("--worker-dup-results");
     }
     return argvv;
@@ -397,16 +342,9 @@ int main(int argc, char** argv) {
   };
 
   std::unique_ptr<Transport> transport;
-  if (transport_name == "inprocess") {
-    InProcessTransport::Options in_options;
-    in_options.threads = worker_threads;
-    in_options.heartbeat_interval_ms = heartbeat_ms;
-    in_options.fail_after = inject_fail;
-    in_options.hang_after = inject_hang;
-    in_options.delay_per_result = inject_delay;
-    in_options.duplicate_results = inject_dup;
-    transport = std::make_unique<InProcessTransport>(in_options);
-  } else if (transport_name == "socket") {
+  if (transport_kind == TransportKind::kInProcess) {
+    transport = std::make_unique<InProcessTransport>(workers);
+  } else if (transport_kind == TransportKind::kSocket) {
     SocketTransport::Options sock_options;
     sock_options.command_for_worker = worker_shell;
     transport = std::make_unique<SocketTransport>(std::move(sock_options));

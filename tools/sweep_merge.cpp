@@ -7,11 +7,10 @@
 // aggregation only depends on (plan, per-unit results).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/harness/sweep_io.h"
 #include "src/harness/sweep_plan.h"
 #include "src/harness/sweep_runner.h"
@@ -20,27 +19,9 @@ using namespace alert;
 
 namespace {
 
-[[noreturn]] void Usage(const char* argv0) {
-  std::printf(
-      "usage: %s --spec=FILE [--out=CSV] [--print] RESULTS_FILE...\n"
-      "  --spec=FILE   the sweep spec every shard ran from\n"
-      "  --out=CSV     write the aggregate CSV here\n"
-      "  --print       print the aggregate CSV to stdout\n",
-      argv0);
-  std::exit(2);
-}
-
 [[noreturn]] void Fail(const std::string& message) {
   std::fprintf(stderr, "sweep_merge: %s\n", message.c_str());
   std::exit(1);
-}
-
-std::optional<std::string> ArgValue(const char* arg, const char* name) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
 }
 
 }  // namespace
@@ -50,23 +31,18 @@ int main(int argc, char** argv) {
   std::string out_path;
   bool print = false;
   std::vector<std::string> results_paths;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (auto v = ArgValue(arg, "--spec")) {
-      spec_path = *v;
-    } else if (auto v = ArgValue(arg, "--out")) {
-      out_path = *v;
-    } else if (std::strcmp(arg, "--print") == 0) {
-      print = true;
-    } else if (arg[0] == '-') {
-      Usage(argv[0]);
-    } else {
-      results_paths.push_back(arg);
-    }
-  }
-  if (spec_path.empty() || results_paths.empty() || (out_path.empty() && !print)) {
-    Usage(argv[0]);
+  flags::Parser cli(
+      "sweep_merge", "--spec=FILE [--out=CSV] [--print] RESULTS_FILE...",
+      {flags::String("--spec=FILE", &spec_path, "the sweep spec every shard ran from")
+           .Required(),
+       flags::String("--out=CSV", &out_path, "write the aggregate CSV here"),
+       flags::Switch("--print", &print, "print the aggregate CSV to stdout"),
+       flags::Positional("RESULTS_FILE...", &results_paths,
+                         "shard results files, together covering every unit once")
+           .Required()});
+  cli.Parse(argc, argv);
+  if (out_path.empty() && !print) {
+    cli.Fail("missing --out=CSV or --print");
   }
 
   std::string spec_text;

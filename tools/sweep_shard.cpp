@@ -15,11 +15,10 @@
 // and mono.csv is byte-identical to any merged K-shard sweep.csv.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <iostream>
 #include <optional>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/common/net.h"
 #include "src/harness/dispatch.h"
 #include "src/harness/sweep_cache.h"
@@ -30,54 +29,6 @@
 using namespace alert;
 
 namespace {
-
-[[noreturn]] void Usage(const char* argv0) {
-  std::printf(
-      "usage: %s --spec=FILE --shards=K --shard=I --out=FILE [options]\n"
-      "       %s --write-default-spec=FILE\n"
-      "  --spec=FILE              sweep spec (see --write-default-spec for an example)\n"
-      "  --shards=K --shard=I     run shard I of a K-way partition (I in [0, K))\n"
-      "  --strategy=round-robin|cost-weighted   partition strategy (default "
-      "round-robin)\n"
-      "  --out=FILE               per-unit results file for sweep_merge\n"
-      "  --csv=FILE               also write the aggregate CSV (full plan only, i.e.\n"
-      "                           --shards=1: this is the monolithic sweep)\n"
-      "  --threads=N              worker threads across settings (default: hardware)\n"
-      "  --cache-dir=DIR          persistent unit-result cache: units whose content\n"
-      "                           fingerprint is cached are delivered, not re-run, so\n"
-      "                           a re-run after a spec edit executes only the changed\n"
-      "                           units (see src/harness/sweep_cache.h)\n"
-      "  --cache=off|read|readwrite  cache mode (default readwrite with --cache-dir)\n"
-      "  --cache-stats=FILE       write a one-record cache-stats file (hits,\n"
-      "                           synthesized, executed, recorded)\n"
-      "  --print-units            list this shard's serialized units and exit\n"
-      "  --dump-profile=FILE      dump the first unit's kBoth profile snapshot\n"
-      "  --write-default-spec=FILE  write a small example spec and exit\n"
-      "       %s --worker [--threads=N] [--connect=HOST:PORT]\n"
-      "  --worker                 speak the sweep_dispatch worker protocol on\n"
-      "                           stdin/stdout (spec and profiles arrive inline;\n"
-      "                           see docs/DISTRIBUTED.md)\n"
-      "  --connect=HOST:PORT      dial the dispatcher over TCP instead of using\n"
-      "                           stdin/stdout (the socket transport's worker side)\n"
-      "  --heartbeat-ms=N         heartbeat interval while executing (default 5000;\n"
-      "                           0 disables — then pair the dispatcher with a\n"
-      "                           cost-scaled straggler deadline)\n"
-      "  --worker-fail-after=N    (testing) die after reporting N units\n"
-      "  --worker-hang-after=N    (testing) go silent after reporting N units\n"
-      "  --worker-dup-results     (testing) send every result line twice\n"
-      "  --worker-delay-ms=N      (testing) slow machine: sleep N ms per unit and\n"
-      "                           fold the sleep into the reported unit time\n",
-      argv0, argv0, argv0);
-  std::exit(2);
-}
-
-std::optional<std::string> ArgValue(const char* arg, const char* name) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
-}
 
 [[noreturn]] void Fail(const std::string& message) {
   std::fprintf(stderr, "sweep_shard: %s\n", message.c_str());
@@ -129,102 +80,89 @@ int main(int argc, char** argv) {
   std::string profile_path;
   std::string default_spec_path;
   std::string cache_dir;
-  std::string cache_mode_flag;
+  std::optional<SweepCacheMode> cache_flag;
   std::string cache_stats_path;
   int num_shards = -1;
   int shard_index = -1;
-  int threads = 0;
   bool print_units = false;
   bool worker_mode = false;
-  std::string connect_addr;
+  std::string connect_host;
+  int connect_port = 0;
   DispatchWorkerOptions worker_options;
   ShardStrategy strategy = ShardStrategy::kRoundRobin;
-
-  // Numbers are parsed strictly (whole token) and range-checked here, and names
-  // must be one of their choices: a malformed value is a usage error (exit 2), not
-  // a failed run (exit 1).
-  const auto int_flag = [&](const std::string& value, const char* flag, int min) {
-    int out = 0;
-    if (!serde::ParseInt(value, &out) || out < min) {
-      std::fprintf(stderr, "sweep_shard: %s: expected an integer >= %d, got '%s'\n",
-                   flag, min, value.c_str());
-      Usage(argv[0]);
-    }
-    return out;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--worker") == 0) {
-      worker_mode = true;
-    } else if (auto v = ArgValue(arg, "--connect")) {
-      connect_addr = *v;
-    } else if (auto v = ArgValue(arg, "--heartbeat-ms")) {
-      worker_options.heartbeat_interval_ms = int_flag(*v, "--heartbeat-ms", 0);
-    } else if (auto v = ArgValue(arg, "--worker-fail-after")) {
-      worker_options.fail_after_results = int_flag(*v, "--worker-fail-after", 0);
-    } else if (auto v = ArgValue(arg, "--worker-hang-after")) {
-      worker_options.hang_after_results = int_flag(*v, "--worker-hang-after", 0);
-    } else if (std::strcmp(arg, "--worker-dup-results") == 0) {
-      worker_options.duplicate_results = true;
-    } else if (auto v = ArgValue(arg, "--worker-delay-ms")) {
-      worker_options.delay_per_result_ms = int_flag(*v, "--worker-delay-ms", 0);
-    } else if (auto v = ArgValue(arg, "--spec")) {
-      spec_path = *v;
-    } else if (auto v = ArgValue(arg, "--shards")) {
-      num_shards = int_flag(*v, "--shards", 1);
-    } else if (auto v = ArgValue(arg, "--shard")) {
-      shard_index = int_flag(*v, "--shard", 0);
-    } else if (auto v = ArgValue(arg, "--strategy")) {
-      const serde::Status s = ParseShardStrategy(*v, &strategy);
-      if (!s) {
-        std::fprintf(stderr, "sweep_shard: --strategy: %s\n", s.message.c_str());
-        Usage(argv[0]);
-      }
-    } else if (auto v = ArgValue(arg, "--out")) {
-      out_path = *v;
-    } else if (auto v = ArgValue(arg, "--csv")) {
-      csv_path = *v;
-    } else if (auto v = ArgValue(arg, "--threads")) {
-      threads = int_flag(*v, "--threads", 0);
-    } else if (auto v = ArgValue(arg, "--cache-dir")) {
-      cache_dir = *v;
-    } else if (auto v = ArgValue(arg, "--cache")) {
-      cache_mode_flag = *v;
-    } else if (auto v = ArgValue(arg, "--cache-stats")) {
-      cache_stats_path = *v;
-    } else if (auto v = ArgValue(arg, "--dump-profile")) {
-      profile_path = *v;
-    } else if (auto v = ArgValue(arg, "--write-default-spec")) {
-      default_spec_path = *v;
-    } else if (std::strcmp(arg, "--print-units") == 0) {
-      print_units = true;
-    } else {
-      Usage(argv[0]);
-    }
-  }
+  flags::Parser cli(
+      "sweep_shard",
+      "--spec=FILE --shards=K --shard=I --out=FILE [options]\n"
+      "   or: sweep_shard --write-default-spec=FILE\n"
+      "   or: sweep_shard --worker [--threads=N] [--connect=HOST:PORT]",
+      {flags::String("--spec=FILE", &spec_path,
+                     "sweep spec (see --write-default-spec for an example)"),
+       flags::Int("--shards=K", &num_shards, 1, "run shard I of a K-way partition"),
+       flags::Int("--shard=I", &shard_index, 0, "the shard to run, below K"),
+       flags::Choice(
+           "--strategy=NAME", &strategy,
+           flags::Named({ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted},
+                        ShardStrategyName),
+           "partition strategy"),
+       flags::String("--out=FILE", &out_path, "per-unit results file for sweep_merge"),
+       flags::String("--csv=FILE", &csv_path,
+                     "also write the aggregate CSV (full plan only, i.e.\n"
+                     "--shards=1: this is the monolithic sweep)"),
+       flags::Int("--threads=N", &worker_options.threads, 0,
+                  "worker threads across settings (0 = hardware)"),
+       flags::String("--cache-dir=DIR", &cache_dir,
+                     "persistent unit-result cache: cached units are\n"
+                     "delivered, not re-run (see src/harness/sweep_cache.h)"),
+       flags::Choice("--cache=MODE", &cache_flag,
+                     flags::Named({SweepCacheMode::kOff, SweepCacheMode::kRead,
+                                   SweepCacheMode::kReadWrite},
+                                  SweepCacheModeName),
+                     "cache mode (default readwrite with --cache-dir, else off)"),
+       flags::String("--cache-stats=FILE", &cache_stats_path,
+                     "write a one-record cache-stats file"),
+       flags::Switch("--print-units", &print_units,
+                     "list this shard's serialized units and exit"),
+       flags::String("--dump-profile=FILE", &profile_path,
+                     "dump the first unit's kBoth profile snapshot"),
+       flags::String("--write-default-spec=FILE", &default_spec_path,
+                     "write a small example spec and exit"),
+       flags::Switch("--worker", &worker_mode,
+                     "speak the sweep_dispatch worker protocol on\n"
+                     "stdin/stdout (see docs/DISTRIBUTED.md)"),
+       flags::Value("--connect=HOST:PORT", "HOST:PORT with a port in [1, 65535]",
+                    [&](std::string_view v) {
+                      return net::ParseHostPort(v, &connect_host, &connect_port).ok;
+                    },
+                    "dial the dispatcher over TCP instead of using\n"
+                    "stdin/stdout (the socket transport's worker side)"),
+       flags::Int("--heartbeat-ms=N", &worker_options.heartbeat_interval_ms, 0,
+                  "heartbeat interval while executing (0 disables;\n"
+                  "then rely on a cost-scaled straggler deadline)"),
+       flags::Int("--worker-fail-after=N", &worker_options.fail_after_results, 0,
+                  "(testing) die after reporting N units"),
+       flags::Int("--worker-hang-after=N", &worker_options.hang_after_results, 0,
+                  "(testing) go silent after reporting N units"),
+       flags::Switch("--worker-dup-results", &worker_options.duplicate_results,
+                     "(testing) send every result line twice"),
+       flags::Int("--worker-delay-ms=N", &worker_options.delay_per_result_ms, 0,
+                  "(testing) slow machine: sleep N ms per unit and\n"
+                  "fold the sleep into the reported unit time")});
+  cli.Parse(argc, argv);
 
   if (worker_mode) {
-    worker_options.threads = threads;
-    if (!connect_addr.empty()) {
-      std::string host;
-      int port = 0;
-      serde::Status s = net::ParseHostPort(connect_addr, &host, &port);
+    int conn_fd = -1;  // stdin/stdout without --connect
+    if (connect_port != 0) {
+      const serde::Status s = net::ConnectTcp(connect_host, connect_port, &conn_fd);
       if (!s) {
         Fail("--connect: " + s.message);
       }
-      int conn_fd = -1;
-      s = net::ConnectTcp(host, port, &conn_fd);
-      if (!s) {
-        Fail("--connect: " + s.message);
-      }
-      FdWorkerLink link(conn_fd, conn_fd, /*owns_fds=*/true);
-      return RunDispatchWorker(link, worker_options);
     }
-    FdWorkerLink link(/*read_fd=*/0, /*write_fd=*/1, /*owns_fds=*/false);
+    FdWorkerLink link(conn_fd >= 0 ? conn_fd : 0, conn_fd >= 0 ? conn_fd : 1,
+                      /*owns_fds=*/conn_fd >= 0);
     return RunDispatchWorker(link, worker_options);
   }
-  if (!connect_addr.empty()) {
-    Fail("--connect only makes sense with --worker");
+  if (connect_port != 0) {
+    cli.Fail("--connect only makes sense with --worker");
   }
 
   if (!default_spec_path.empty()) {
@@ -237,13 +175,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (spec_path.empty() || num_shards <= 0 || shard_index < 0 ||
-      shard_index >= num_shards) {
-    Usage(argv[0]);
+  if (spec_path.empty() || num_shards < 0 || shard_index < 0) {
+    cli.Fail("missing --spec, --shards or --shard");
+  }
+  if (shard_index >= num_shards) {
+    cli.Fail("--shard=" + std::to_string(shard_index) + " must be below --shards=" +
+             std::to_string(num_shards));
+  }
+  if (out_path.empty() && !print_units) {
+    cli.Fail("missing --out=FILE");
+  }
+  SweepCacheMode cache_mode = SweepCacheMode::kOff;
+  serde::Status s = ResolveSweepCacheMode(cache_dir, cache_flag, &cache_mode);
+  if (!s) {
+    cli.Fail(s.message);
   }
 
   std::string spec_text;
-  serde::Status s = serde::ReadFile(spec_path, &spec_text);
+  s = serde::ReadFile(spec_path, &spec_text);
   if (!s) {
     Fail(s.message);
   }
@@ -286,18 +235,10 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (out_path.empty()) {
-    Usage(argv[0]);
-  }
   if (!csv_path.empty() && units.size() != plan.units.size()) {
     Fail("--csv needs the full plan in one shard (use --shards=1)");
   }
 
-  SweepCacheMode cache_mode = SweepCacheMode::kOff;
-  s = ResolveSweepCacheMode(cache_dir, cache_mode_flag, &cache_mode);
-  if (!s) {
-    Fail(s.message);
-  }
   SweepResultCache cache;
   if (cache_mode != SweepCacheMode::kOff) {
     s = OpenSweepResultCacheDir(cache_dir, cache_mode, &cache);
@@ -307,7 +248,7 @@ int main(int argc, char** argv) {
   }
 
   SweepRunOptions run_options;
-  run_options.threads = threads;
+  run_options.threads = worker_options.threads;
   ShardResults results;
   results.plan_fingerprint = PlanFingerprint(plan);
   results.num_shards = num_shards;
