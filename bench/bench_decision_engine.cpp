@@ -1,7 +1,8 @@
 // DecisionEngine microbenchmark: ns/decision for the old full-rescore path (per-cell
 // ConfigSpace lookups + exact erf-based estimates, exactly what AlertScheduler::Decide
 // inlined before the engine existed) vs. the SoA scalar engine vs. the vectorized
-// kernel, plus the fused SelectBest, across config-space sizes.
+// kernel, plus the fused SelectBest, across config-space sizes.  The sigma0 cases score
+// ALERT*'s mean-only belief (xi.stddev == 0), whose row pass is step functions only.
 //
 // Config-space size is scaled by replicating the evaluation candidate set: factor 1 is
 // the paper's CPU1 space (110 configurations), factor 16 is 1760.  Derived metrics
@@ -99,18 +100,20 @@ double RunNaive(bench::Harness& h, Fixture& f, const std::string& name) {
   });
 }
 
-double RunScoreAll(bench::Harness& h, Fixture& f, const std::string& name) {
+double RunScoreAll(bench::Harness& h, Fixture& f, const std::string& name,
+                   const DecisionInputs& in) {
   std::vector<ConfigScore> scores(static_cast<size_t>(f.engine.num_entries()));
   double sink = 0.0;
   return h.RunCase(name, [&] {
-    f.engine.ScoreAll(f.in, scores);
+    f.engine.ScoreAll(in, scores);
     sink += scores.back().expected_energy;
     bench::DoNotOptimize(sink);
   });
 }
 
 // The full decision rule: fused score + select + fallback bookkeeping.
-double RunSelectBest(bench::Harness& h, Fixture& f, const std::string& name) {
+double RunSelectBest(bench::Harness& h, Fixture& f, const std::string& name,
+                     const DecisionInputs& in) {
   Goals goals;
   goals.mode = GoalMode::kMinimizeEnergy;
   goals.deadline = 0.08;
@@ -118,7 +121,7 @@ double RunSelectBest(bench::Harness& h, Fixture& f, const std::string& name) {
   DecisionEngine::SelectScratch scratch;
   return h.RunCase(name, [&] {
     bench::DoNotOptimize(
-        f.engine.SelectBest(goals, goals.energy_budget, f.in, 1e9, scratch));
+        f.engine.SelectBest(goals, goals.energy_budget, in, 1e9, scratch));
   });
 }
 
@@ -139,24 +142,44 @@ int Main(int argc, char** argv) {
 
   small.engine.set_simd_enabled(false);
   large.engine.set_simd_enabled(false);
-  const double scalar_110 = RunScoreAll(h, small, "score_all_scalar_110");
-  const double scalar_1760 = RunScoreAll(h, large, "score_all_scalar_1760");
-  const double select_scalar_110 = RunSelectBest(h, small, "select_best_scalar_110");
-  const double select_scalar_1760 = RunSelectBest(h, large, "select_best_scalar_1760");
+  const double scalar_110 = RunScoreAll(h, small, "score_all_scalar_110", small.in);
+  const double scalar_1760 = RunScoreAll(h, large, "score_all_scalar_1760", large.in);
+  const double select_scalar_110 =
+      RunSelectBest(h, small, "select_best_scalar_110", small.in);
+  const double select_scalar_1760 =
+      RunSelectBest(h, large, "select_best_scalar_1760", large.in);
+
+  // ALERT*: the same belief mean with no variance.  The sigma == 0 row pass never
+  // takes the vector kernel, so these run once, beside the scalar cases.
+  DecisionInputs sigma0 = small.in;
+  sigma0.xi.stddev = 0.0;
+  const double sigma0_110 = RunScoreAll(h, small, "score_all_sigma0_110", sigma0);
+  const double sigma0_1760 = RunScoreAll(h, large, "score_all_sigma0_1760", sigma0);
+  const double select_sigma0_110 =
+      RunSelectBest(h, small, "select_best_sigma0_110", sigma0);
+  const double select_sigma0_1760 =
+      RunSelectBest(h, large, "select_best_sigma0_1760", sigma0);
 
   small.engine.set_simd_enabled(true);
   large.engine.set_simd_enabled(true);
   const bool simd = small.engine.simd_active();
   // With no usable backend the "simd" cases rerun the scalar path (ratios ~1), and
   // the gate's SIMD floors are skipped via the simd_active context flag.
-  const double simd_110 = RunScoreAll(h, small, "score_all_simd_110");
-  const double simd_1760 = RunScoreAll(h, large, "score_all_simd_1760");
-  const double select_simd_110 = RunSelectBest(h, small, "select_best_simd_110");
-  const double select_simd_1760 = RunSelectBest(h, large, "select_best_simd_1760");
+  const double simd_110 = RunScoreAll(h, small, "score_all_simd_110", small.in);
+  const double simd_1760 = RunScoreAll(h, large, "score_all_simd_1760", large.in);
+  const double select_simd_110 =
+      RunSelectBest(h, small, "select_best_simd_110", small.in);
+  const double select_simd_1760 =
+      RunSelectBest(h, large, "select_best_simd_1760", large.in);
 
   // Machine-stable ratios for the trajectory gate.
   h.Derive("engine_vs_naive_110", naive_110 / scalar_110);
   h.Derive("engine_vs_naive_1760", naive_1760 / scalar_1760);
+  // How much cheaper a mean-only decision is than a scalar sigma > 0 one.
+  h.Derive("score_all_sigma0_vs_scalar_110", scalar_110 / sigma0_110);
+  h.Derive("score_all_sigma0_vs_scalar_1760", scalar_1760 / sigma0_1760);
+  h.Derive("select_best_sigma0_vs_scalar_110", select_scalar_110 / select_sigma0_110);
+  h.Derive("select_best_sigma0_vs_scalar_1760", select_scalar_1760 / select_sigma0_1760);
   if (simd) {
     h.Derive("score_all_simd_speedup_110", scalar_110 / simd_110);
     h.Derive("score_all_simd_speedup_1760", scalar_1760 / simd_1760);

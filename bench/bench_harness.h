@@ -12,8 +12,9 @@
 //   h.Context("simd_active", engine.simd_active());
 //   return h.Finish();
 //
-// Flags: --json=PATH (write the JSON report), --reps=N (default 7),
-// --min-time-ms=MS (default 100: each rep runs enough iterations to take at
+// Flags (parsed by src/common/flags.h, so a malformed value exits 2):
+// --json=PATH (write the JSON report), --reps=N (1..1000, default 7),
+// --min-time-ms=MS (>= 1, default 100: each rep runs enough iterations to take at
 // least this long).  Absolute ns/op values are machine-dependent; the trajectory
 // gate compares only the `derived` ratios, which are stable across hosts.
 #ifndef BENCH_BENCH_HARNESS_H_
@@ -23,12 +24,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/json.h"
 
 namespace alert::bench {
@@ -42,19 +43,14 @@ inline void DoNotOptimize(const T& value) {
 class Harness {
  public:
   Harness(std::string suite, int argc, char** argv) : suite_(std::move(suite)) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--json=", 0) == 0) {
-        json_path_ = arg.substr(7);
-      } else if (arg.rfind("--reps=", 0) == 0) {
-        reps_ = std::max(1, std::atoi(arg.c_str() + 7));
-      } else if (arg.rfind("--min-time-ms=", 0) == 0) {
-        min_time_ms_ = std::max(1.0, std::atof(arg.c_str() + 14));
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-        std::exit(2);
-      }
-    }
+    flags::Parser(
+        "bench_" + suite_, "[--json=FILE] [--reps=N] [--min-time-ms=MS]",
+        {flags::String("--json=FILE", &json_path_, "write the JSON report here"),
+         flags::Int("--reps=N", &reps_, 1, 1000,
+                    "timed reps per case; the median is reported"),
+         flags::Double("--min-time-ms=MS", &min_time_ms_, 1.0, flags::kUnbounded,
+                       "minimum wall time of one rep")})
+        .Parse(argc, argv);
     std::printf("%-44s %14s %10s %6s\n", "case", "ns/op", "iters", "reps");
   }
 

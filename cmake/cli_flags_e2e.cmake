@@ -1,17 +1,21 @@
 # End-to-end check that the binaries refuse malformed flags, run as a ctest.
 # Every numeric and named-choice flag of every binary, crossed with a non-numeric,
-# a NaN, an infinite, an overflowing, a negative and an empty value (none is a
-# valid choice, and no numeric flag accepts -1), must end in a usage error (exit 2)
+# a NaN, an infinite, an overflowing, a negative, an empty and a blank-led value
+# (none is a valid choice, no numeric flag accepts -1, and " 7" is not the number 7
+# even though the C parsers skip the blank), must end in a usage error (exit 2)
 # whose message names the flag — not a silent default value, not a runtime failure
 # (exit 1) and not an ALERT_CHECK abort somewhere past the parser.  Naming the flag
 # matters: a binary that wrongly accepted the value could still exit 2 later for a
 # missing required flag.  A repeated flag and an unknown flag are usage errors too,
 # and each binary's --help exits 0 and lists every flag crossed here.  Every
 # invocation fails while parsing, so no daemon or worker is ever started.
+# bench/bench_harness.h parses the flags of every microbench; bench_decision_engine
+# stands for them all.
 # Invoked with -DALERT_CLI=... -DALERTD=... -DCHURN_DRIVE=... -DSWEEP_SHARD=...
-# -DSWEEP_DISPATCH=... -DSWEEP_MERGE=... -DBENCH_CHECK=... -DWORK_DIR=...
+# -DSWEEP_DISPATCH=... -DSWEEP_MERGE=... -DBENCH_CHECK=... -DBENCH_DECISION_ENGINE=...
+# -DWORK_DIR=...
 foreach(var ALERT_CLI ALERTD CHURN_DRIVE SWEEP_SHARD SWEEP_DISPATCH SWEEP_MERGE
-        BENCH_CHECK WORK_DIR)
+        BENCH_CHECK BENCH_DECISION_ENGINE WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_flags_e2e: ${var} not defined")
   endif()
@@ -40,7 +44,7 @@ endfunction()
 function(expect_usage_errors binary flag)
   set(args ${ARGN})
   list(FILTER args EXCLUDE REGEX "^${flag}=")
-  foreach(value abc nan inf 1e999 -1 "")
+  foreach(value abc nan inf 1e999 -1 "" " 7")
     expect_usage_error(${binary} "${flag}: " ${args} "${flag}=${value}")
   endforeach()
   get_filename_component(name ${binary} NAME)
@@ -131,6 +135,15 @@ expect_usage_errors(${BENCH_CHECK} --threshold --baseline=a.json --current=b.jso
 expect_usage_error(${BENCH_CHECK} "--current: given more than once" --baseline=a.json
                    --current=b.json --current=b.json)
 expect_help(${BENCH_CHECK} --baseline --current)
+
+# These used to go through atoi/atof: "abc" ran one rep at a 1 ms floor.
+foreach(flag --reps --min-time-ms)
+  expect_usage_errors(${BENCH_DECISION_ENGINE} ${flag})
+endforeach()
+expect_usage_error(${BENCH_DECISION_ENGINE} "--reps: given more than once" --reps=1
+                   --reps=1)
+expect_usage_error(${BENCH_DECISION_ENGINE} "unknown flag '--bogus'" --bogus)
+expect_help(${BENCH_DECISION_ENGINE} --json)
 
 message(STATUS "cli_flags_e2e: every binary refuses every malformed numeric or "
                "named-choice flag, a repeated flag and an unknown flag, and its "

@@ -1,7 +1,9 @@
-# Lint, run as a ctest: the binaries in tools/ and examples/ parse their command
-# lines through src/common/flags.h only.  A hand-rolled `ArgValue` matcher or a C
-# number parser (atoi/atof/strtol/..., which accept "12abc", wrap "-1" to a huge
-# unsigned value or turn a typo into a silent 0) fails the test, naming the file.
+# Lint, run as a ctest: the binaries in tools/, examples/ and bench/ (including the
+# shared bench/bench_harness.h, which parses every microbench's flags) parse their
+# command lines through src/common/flags.h only.  A hand-rolled `ArgValue` matcher
+# or a C number parser (atoi/atof/strtol/..., which accept "12abc", wrap "-1" to a
+# huge unsigned value or turn a typo into a silent 0) fails the test, naming the
+# file.
 # perfbench/ is left out: it is the benchmark harness, which measures this program
 # against its parent commit and so only changes together with the benchmark itself;
 # its main.cc still parses its few flags by hand.
@@ -10,7 +12,8 @@ if(NOT DEFINED SOURCE_DIR)
   message(FATAL_ERROR "no_adhoc_flags: SOURCE_DIR not defined")
 endif()
 
-file(GLOB sources ${SOURCE_DIR}/tools/*.cpp ${SOURCE_DIR}/examples/*.cpp)
+file(GLOB sources ${SOURCE_DIR}/tools/*.cpp ${SOURCE_DIR}/examples/*.cpp
+     ${SOURCE_DIR}/bench/*.cpp ${SOURCE_DIR}/bench/*.h)
 list(LENGTH sources checked)
 if(checked EQUAL 0)
   message(FATAL_ERROR "no_adhoc_flags: no sources found under ${SOURCE_DIR}")

@@ -1,5 +1,6 @@
 #include "src/common/serde.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -13,6 +14,12 @@ namespace alert::serde {
 namespace {
 
 bool IsSpace(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+// strtod/strtoll/strtoull skip leading whitespace, so a number token is refused when
+// it starts with any byte std::isspace accepts: the whole token must be the number.
+bool LeadsWithSpace(std::string_view token) {
+  return !token.empty() && std::isspace(static_cast<unsigned char>(token[0])) != 0;
+}
 
 bool HasWhitespace(std::string_view s) {
   for (char c : s) {
@@ -77,7 +84,7 @@ Status ParseDouble(std::string_view token, double* out) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) {
+  if (LeadsWithSpace(token) || end != copy.c_str() + copy.size()) {
     return Error("malformed number '" + copy + "'");
   }
   if (!std::isfinite(value)) {
@@ -96,7 +103,7 @@ Status ParseInt64(std::string_view token, int64_t* out) {
   errno = 0;
   char* end = nullptr;
   const long long value = std::strtoll(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size()) {
+  if (LeadsWithSpace(token) || end != copy.c_str() + copy.size()) {
     return Error("malformed integer '" + copy + "'");
   }
   if (errno == ERANGE) {
@@ -123,7 +130,7 @@ Status ParseUint64(std::string_view token, uint64_t* out) {
   if (token.empty()) {
     return Error("empty integer");
   }
-  if (token[0] == '-' || token[0] == '+') {
+  if (token[0] == '-' || token[0] == '+' || LeadsWithSpace(token)) {
     return Error("malformed unsigned integer '" + std::string(token) + "'");
   }
   const std::string copy(token);

@@ -39,8 +39,9 @@ Status Wrap(std::string_view context, const Status& status);
 // serializer is a logic error upstream (checked, aborts).
 std::string FormatDouble(double value);
 
-// Strict token parsers: the whole token must be consumed, and doubles must be finite
-// (NaN/inf tokens are rejected — the merge plane averages these values).
+// Strict token parsers: the whole token must be consumed — a leading or trailing blank
+// is refused — and doubles must be finite (NaN/inf tokens are rejected — the merge
+// plane averages these values).
 Status ParseDouble(std::string_view token, double* out);
 Status ParseInt64(std::string_view token, int64_t* out);
 Status ParseInt(std::string_view token, int* out);

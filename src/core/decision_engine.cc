@@ -198,7 +198,9 @@ ConfigScore DecisionEngine::ScoreEntry(int entry, const DecisionInputs& in) cons
 // shared z of Eq. 6 and the expected-runtime truncation, pdf once) plus multiplies —
 // the per-entry divisions are precomputed into inv_*_profile_ at construction and
 // 1/sigma is hoisted per scoring pass.  The degenerate (ALERT*, sigma == 0) and
-// percentile (Eq. 12) variants keep the reference arithmetic.
+// percentile (Eq. 12) variants take the reference arithmetic; a whole sigma == 0
+// pass never comes here, because ScoreChunk scores its rows with ScoreEntrySigma0
+// directly.
 //
 // The vector kernel (decision_engine_simd.cc) mirrors this function operation for
 // operation — change the two together and keep the equivalence suite green.
@@ -272,12 +274,68 @@ ConfigScore DecisionEngine::ScoreEntry(int entry, const ScoringContext& ctx) con
   return score;
 }
 
+// ALERT*'s mean-only belief (sigma == 0) turns every Gaussian tail into a step
+// function and every truncated expectation into a min, and makes the Eq. 12
+// percentile the mean itself.  This is the one definition of that arithmetic: the
+// per-entry reference and ScoreChunk's sigma == 0 row pass both call it, so the two
+// cannot drift.  Each expression must stay, operand for operand, what FastNormalCdf
+// and FastExpectedRuntime compute at stddev == 0: the tests hold it bit for bit to
+// the estimates.h math.  Forced inline: gcc -O2 keeps it out of line otherwise, and
+// a call per entry costs the row pass most of its gain.
+[[gnu::always_inline]] inline ConfigScore DecisionEngine::ScoreEntrySigma0(
+    size_t e, size_t c, const DecisionInputs& in) const {
+  const double mean = in.xi.mean;
+  const Seconds deadline = in.deadline;
+  const Seconds mean_t = mean * run_profile_[e];
+
+  ConfigScore score;
+  // Eq. 6: Pr[mean * t_prof <= deadline] is 0 or 1.
+  score.prob_deadline = deadline < mean_t ? 0.0 : 1.0;
+
+  const int stages = stage_count_[c];
+  if (stages == 0) {
+    // Eq. 7: accuracy step function of a traditional network.
+    score.expected_accuracy = score.prob_deadline * final_accuracy_[c] +
+                              (1.0 - score.prob_deadline) * q_fail_[c];
+  } else {
+    // Eq. 13: the anytime ladder delivers the last stage completed by the deadline.
+    const Seconds full_profile = full_profile_[e];
+    const size_t offset = static_cast<size_t>(stage_offset_[c]);
+    double expected = 0.0;
+    double p_next = 0.0;
+    for (int k = stages - 1; k >= 0; --k) {
+      const Seconds stage_profile = stage_frac_[offset + static_cast<size_t>(k)] *
+                                    full_profile;
+      const double p_k = deadline < mean * stage_profile ? 0.0 : 1.0;
+      expected += stage_accuracy_[offset + static_cast<size_t>(k)] * (p_k - p_next);
+      p_next = p_k;
+    }
+    expected += q_fail_[c] * (1.0 - p_next);
+    score.expected_accuracy = expected;
+  }
+
+  // Run time: the mean, stopped at the deadline when the controller kills the run.
+  const Seconds run = in.stop_at_cutoff ? std::min(mean_t, deadline) : mean_t;
+  score.expected_latency = run;
+
+  // Eq. 9 energy over the period (Eq. 12 charges the same run at sigma == 0).
+  const Watts inference_power = inference_power_[e];
+  const Watts idle_power =
+      in.use_idle_ratio ? in.idle_ratio * inference_power : in.fixed_idle_power;
+  const Seconds idle_time = std::max(0.0, in.period - run);
+  score.expected_energy = inference_power * run + idle_power * idle_time;
+  return score;
+}
+
 ConfigScore DecisionEngine::ScoreEntryReference(int entry,
                                                 const DecisionInputs& in) const {
   const size_t e = static_cast<size_t>(entry);
   const int ci = entry / num_powers_;
   const size_t c = static_cast<size_t>(ci);
   const XiBelief& xi = in.xi;
+  if (xi.stddev == 0.0) {
+    return ScoreEntrySigma0(e, c, in);
+  }
   const Seconds run_profile = run_profile_[e];
   const double q_fail = q_fail_[c];
 
@@ -369,10 +427,24 @@ internal::ScoreParams DecisionEngine::KernelParams(const ScoringContext& ctx) {
 
 void DecisionEngine::ScoreChunk(const ScoringContext& ctx, int ci_begin, int ci_end,
                                 int width, ConfigScore* out, int out_stride) const {
+  // A sigma == 0 (ALERT*) pass is tested once here, not once per entry: its rows
+  // are step functions of the mean, scored in one straight-line pass of the shared
+  // ScoreEntrySigma0 arithmetic whatever the percentile (Eq. 12 charges the mean run
+  // at sigma == 0).
+  if (ctx.in.xi.stddev == 0.0) {
+    for (int ci = ci_begin; ci < ci_end; ++ci) {
+      ConfigScore* row = out + static_cast<ptrdiff_t>(ci - ci_begin) * out_stride;
+      for (int pi = 0; pi < width; ++pi) {
+        row[pi] = ScoreEntrySigma0(static_cast<size_t>(entry_index(ci, pi)),
+                                   static_cast<size_t>(ci), ctx.in);
+      }
+    }
+    return;
+  }
 #if defined(ALERT_SIMD_AVX2) || defined(ALERT_SIMD_NEON)
-  // The degenerate branches (sigma == 0 and Eq. 12 percentile energy) stay on the
-  // scalar reference arithmetic; everything else takes the lane-parallel kernel.
-  if (simd_enabled_ && !(ctx.in.xi.stddev == 0.0 || ctx.in.percentile > 0.0)) {
+  // Eq. 12 percentile energy stays on the scalar reference arithmetic; everything
+  // else takes the lane-parallel kernel.
+  if (simd_enabled_ && !(ctx.in.percentile > 0.0)) {
     internal::ScoreRowsSimd(KernelTables(), KernelParams(ctx), ci_begin, ci_end,
                             width, out, out_stride);
     return;

@@ -22,7 +22,10 @@
 // and period) in a single linear pass over the SoA vectors.  Gaussian tails come from
 // the memoized table in src/common/gaussian.h (FastStandardNormalCdf, |err| < 1e-7)
 // instead of per-call std::erf.  Passing xi.stddev == 0 degenerates every estimate to
-// the mean-only ALERT* scheme exactly as the inline code did.
+// the mean-only ALERT* scheme exactly as the inline code did: Gaussian tails become
+// step functions of the mean and the truncated run time a min, so a sigma == 0 pass
+// is detected once per chunk and scored in one straight-line row pass of that
+// arithmetic (no table lookups), bit-identical to the per-entry reference.
 //
 // Vector layer: when the build compiled a SIMD backend (AVX2/NEON — see the dispatch
 // contract in src/common/simd.h) and the running machine supports it, the
@@ -33,8 +36,8 @@
 // performs the identical IEEE-754 operations in the identical order as the scalar
 // fast path — no FMA contraction, same memoized table — so vector and scalar scores
 // agree to the last bit on every tested platform; the scalar path remains the
-// reference implementation, and the degenerate branches (sigma == 0, Eq. 12
-// percentile energy) always use it.  Equivalence is enforced by
+// reference implementation, and the degenerate branches always run scalar: the
+// sigma == 0 row pass and the Eq. 12 percentile energy.  Equivalence is enforced by
 // tests/core/simd_equivalence_test.cc.
 //
 // Selection: `SelectBest` implements the full ALERT decision rule — the Pr_th
@@ -74,6 +77,7 @@
 #ifndef SRC_CORE_DECISION_ENGINE_H_
 #define SRC_CORE_DECISION_ENGINE_H_
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -250,12 +254,15 @@ class DecisionEngine {
   ConfigScore ScoreEntry(int entry, const ScoringContext& ctx) const;
   ConfigScore ScoreEntry(int entry, const DecisionInputs& in) const;
   // The pre-optimization scoring arithmetic, kept for the degenerate (stddev == 0) and
-  // percentile (Eq. 12) paths.
+  // percentile (Eq. 12) paths; at stddev == 0 it is ScoreEntrySigma0.
   ConfigScore ScoreEntryReference(int entry, const DecisionInputs& in) const;
+  // The stddev == 0 (ALERT*) score of entry `e` of candidate `c`: step functions of
+  // the mean.  Shared by ScoreEntryReference and ScoreChunk's sigma == 0 row pass.
+  ConfigScore ScoreEntrySigma0(size_t e, size_t c, const DecisionInputs& in) const;
   // Scores the rectangle [ci_begin, ci_end) x powers [0, width) into
-  // out[(ci - ci_begin) * out_stride + pi] — through the vector kernel when active
-  // and the pass is non-degenerate, else the scalar loop.  The single scoring
-  // funnel of ScoreAll / ScoreBatch / SelectBest.
+  // out[(ci - ci_begin) * out_stride + pi] — the sigma == 0 row pass for a mean-only
+  // belief, the vector kernel when active and the pass is non-degenerate, else the
+  // scalar loop.  The single scoring funnel of ScoreAll / ScoreBatch / SelectBest.
   void ScoreChunk(const ScoringContext& ctx, int ci_begin, int ci_end, int width,
                   ConfigScore* out, int out_stride) const;
   // Raw table/parameter views handed to the vector kernel.

@@ -14,10 +14,15 @@ constexpr double kTimeEps = 1e-12;
 
 PlatformSimulator::PlatformSimulator(const PlatformSpec& platform,
                                      std::span<const DnnModel> models)
-    : platform_(platform), models_(models) {
-  ALERT_CHECK(!models_.empty());
+    : platform_(platform), models_(models), caps_(platform.PowerSettings()),
+      inv_cap_step_(1.0 / platform.cap_step) {
+  ALERT_CHECK(!models_.empty() && !caps_.empty());
+  nominal_latency_.reserve(models_.size() * caps_.size());
   for (const DnnModel& m : models_) {
     ALERT_CHECK(m.SupportsPlatform(platform_.id));
+    for (const Watts cap : caps_) {
+      nominal_latency_.push_back(NominalLatencyFormula(m, cap));
+    }
   }
 }
 
@@ -26,9 +31,22 @@ const DnnModel& PlatformSimulator::model(int index) const {
   return models_[static_cast<size_t>(index)];
 }
 
+Seconds PlatformSimulator::NominalLatencyFormula(const DnnModel& m, Watts cap) const {
+  return m.ref_latency_on(platform_.id) / platform_.curve.SpeedAt(cap);
+}
+
 Seconds PlatformSimulator::NominalLatency(int model_index, Watts cap) const {
   const DnnModel& m = model(model_index);
-  return m.ref_latency_on(platform_.id) / platform_.curve.SpeedAt(cap);
+  // The ladder index `cap` would have, checked by exact comparison: only a cap that
+  // is a ladder setting reads the table (NaN fails both tests).
+  const double pos = (cap - caps_.front()) * inv_cap_step_ + 0.5;
+  if (pos >= 0.0 && pos < static_cast<double>(caps_.size())) {
+    const size_t s = static_cast<size_t>(pos);
+    if (caps_[s] == cap) {
+      return nominal_latency_[static_cast<size_t>(model_index) * caps_.size() + s];
+    }
+  }
+  return NominalLatencyFormula(m, cap);
 }
 
 Watts PlatformSimulator::InferencePower(int model_index, Watts cap) const {

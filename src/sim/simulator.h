@@ -9,7 +9,12 @@
 //
 // The same object also exposes the *nominal profile* (latency at each cap with no
 // contention and a unit input): this is what offline profiling would record, and what
-// the controllers consume as t_prof.
+// the controllers consume as t_prof.  The nominal latency of every model at every
+// setting of `platform.PowerSettings()` is computed once, at construction, into an
+// immutable table that Execute / TrueLatency / NominalLatency read by exact cap; a cap
+// off the ladder falls back to the power-curve formula the table was filled with, so
+// both give the same bits.  The simulator is immutable after construction, so
+// concurrent sweep rows may share it.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -64,14 +69,15 @@ struct Measurement {
 
 class PlatformSimulator {
  public:
-  // `models` must outlive the simulator.
+  // `platform` and `models` must outlive the simulator.
   PlatformSimulator(const PlatformSpec& platform, std::span<const DnnModel> models);
 
   // Runs one inference under the given environment.  Pure function of its arguments —
   // the harness replays identical contexts across schedulers.
   Measurement Execute(const ExecRequest& request, const ExecutionContext& ctx) const;
 
-  // Nominal profile latency: model under `cap`, no contention, unit input.
+  // Nominal profile latency: model under `cap`, no contention, unit input.  A table
+  // lookup for a cap on the platform's power ladder, the formula otherwise.
   Seconds NominalLatency(int model_index, Watts cap) const;
 
   // Average package+base draw while the model runs under `cap`.
@@ -90,8 +96,17 @@ class PlatformSimulator {
   const DnnModel& model(int index) const;
 
  private:
+  // ref_latency / SpeedAt(cap): the power-curve formula behind NominalLatency.
+  Seconds NominalLatencyFormula(const DnnModel& m, Watts cap) const;
+
   const PlatformSpec& platform_;
   std::span<const DnnModel> models_;
+  // The power ladder (platform.PowerSettings()), and the nominal latency of model m
+  // at ladder setting s at nominal_latency_[m * caps_.size() + s].
+  std::vector<Watts> caps_;
+  std::vector<Seconds> nominal_latency_;
+  // 1 / cap_step: maps a cap to its candidate ladder index.
+  double inv_cap_step_ = 0.0;
 };
 
 }  // namespace alert

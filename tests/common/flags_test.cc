@@ -67,6 +67,31 @@ TEST(FlagsIntTest, Int64AndUint64Bounds) {
   EXPECT_FALSE(seed_flag.set("18446744073709551616"));
 }
 
+TEST(FlagsIntTest, RefusesALeadingBlank) {
+  // strtoll/strtoull skip leading whitespace; the flag value must be the number.
+  int count = 3;
+  const Flag int_flag = Int("--count=N", &count, 0, "count");
+  int64_t wide = 3;
+  const Flag wide_flag = Int("--wide=N", &wide, int64_t{-10}, int64_t{10}, "wide");
+  uint64_t seed = 3;
+  const Flag seed_flag = Int("--seed=N", &seed, 0, "seed");
+  for (const char* bad : {" 7", "\t7", "\n7", "\v7", "\f7", "\r7", "  7"}) {
+    EXPECT_FALSE(int_flag.set(bad)) << bad;
+    EXPECT_FALSE(wide_flag.set(bad)) << bad;
+    EXPECT_FALSE(seed_flag.set(bad)) << bad;
+  }
+  // A blank before the sign used to slip past the unsigned sign check, and strtoull
+  // wrapped " -1" to 2^64 - 1.
+  EXPECT_FALSE(seed_flag.set(" -1"));
+  EXPECT_FALSE(seed_flag.set("\t+1"));
+  EXPECT_FALSE(wide_flag.set(" -1"));
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(wide, 3);
+  EXPECT_EQ(seed, 3u);
+  EXPECT_TRUE(seed_flag.set("7"));
+  EXPECT_EQ(seed, 7u);
+}
+
 TEST(FlagsDoubleTest, InclusiveAndExclusiveLowerBounds) {
   double rate = 0.0;
   const Flag inclusive = Double("--rate=R", &rate, 0.0, kUnbounded, "rate");
@@ -83,7 +108,8 @@ TEST(FlagsDoubleTest, InclusiveAndExclusiveLowerBounds) {
   EXPECT_FALSE(exclusive.set("0"));
   EXPECT_FALSE(exclusive.set("-0.5"));
   EXPECT_TRUE(exclusive.set("5e-324"));
-  for (const char* bad : {"abc", "", "nan", "inf", "-inf", "1e999", "1.5x"}) {
+  for (const char* bad : {"abc", "", "nan", "inf", "-inf", "1e999", "1.5x", " 1",
+                          "\t2.5", "\n2.5", " -0.5"}) {
     EXPECT_FALSE(inclusive.set(bad)) << bad;
     EXPECT_FALSE(exclusive.set(bad)) << bad;
   }

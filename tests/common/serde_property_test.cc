@@ -314,6 +314,42 @@ TEST(SerdePropertyTest, NumericTokenMutationsNeverCrashAndGarbageIsRejected) {
   }
 }
 
+TEST(SerdePropertyTest, LeadingWhitespaceIsRejectedByEveryNumberParser) {
+  // The C parsers under ParseDouble/ParseInt64/ParseUint64 skip leading whitespace;
+  // the whole token must be the number, so every isspace byte in front of any valid
+  // number is refused — and " -1" must not wrap to 2^64 - 1 as an unsigned.
+  const std::string blanks[] = {" ", "\t", "\n", "\v", "\f", "\r", "  ", " \t"};
+  const std::string numbers[] = {"0", "7", "-1", "+1", "2.5", "-2.5", "1e3",
+                                 "18446744073709551615"};
+  for (const std::string& blank : blanks) {
+    for (const std::string& number : numbers) {
+      const std::string token = blank + number;
+      double d = 42.0;
+      int i = 42;
+      int64_t i64 = 42;
+      uint64_t u64 = 42;
+      EXPECT_FALSE(ParseDouble(token, &d).ok) << "'" << token << "'";
+      EXPECT_FALSE(ParseInt(token, &i).ok) << "'" << token << "'";
+      EXPECT_FALSE(ParseInt64(token, &i64).ok) << "'" << token << "'";
+      EXPECT_FALSE(ParseUint64(token, &u64).ok) << "'" << token << "'";
+      EXPECT_EQ(d, 42.0);
+      EXPECT_EQ(i, 42);
+      EXPECT_EQ(i64, 42);
+      EXPECT_EQ(u64, 42u);
+    }
+  }
+  // The same numbers without the blank still parse.
+  uint64_t u64 = 0;
+  EXPECT_TRUE(ParseUint64("7", &u64).ok);
+  EXPECT_EQ(u64, 7u);
+  int64_t i64 = 0;
+  EXPECT_TRUE(ParseInt64("-1", &i64).ok);
+  EXPECT_EQ(i64, -1);
+  double d = 0.0;
+  EXPECT_TRUE(ParseDouble("2.5", &d).ok);
+  EXPECT_EQ(d, 2.5);
+}
+
 TEST(SerdePropertyTest, FingerprintSeparatesSingleCharacterMutations) {
   std::mt19937_64 rng(31);
   for (int iteration = 0; iteration < 200; ++iteration) {

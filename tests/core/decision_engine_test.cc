@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -109,6 +111,129 @@ TEST_F(DecisionEngineTest, SigmaZeroDegeneratesToAlertStarExactly) {
       EXPECT_EQ(got.expected_energy, want.expected_energy);
       EXPECT_EQ(got.expected_latency, want.expected_latency);
       EXPECT_TRUE(got.prob_deadline == 0.0 || got.prob_deadline == 1.0);
+    }
+  }
+}
+
+// Mean-only (sigma == 0) inputs for the row-pass sweep: random beliefs and deadlines,
+// deadlines that sit exactly on mean * profile of a whole run and of an anytime stage
+// (where the step function flips), both cutoff modes, both idle-power models and
+// both energy estimates.
+std::vector<DecisionInputs> SigmaZeroSweep(const ConfigSpace& space) {
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> mean(0.5, 2.5);
+  std::uniform_real_distribution<double> deadline(0.005, 0.5);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> candidate(0, space.num_candidates() - 1);
+  std::uniform_int_distribution<int> power(0, space.num_powers() - 1);
+  std::vector<DecisionInputs> inputs;
+  for (int i = 0; i < 96; ++i) {
+    DecisionInputs in;
+    in.xi = XiBelief{mean(rng), 0.0};
+    const Candidate& c = space.candidate(candidate(rng));
+    const DnnModel& model = space.model(c.model_index);
+    const int pi = power(rng);
+    switch (i % 3) {
+      case 0:
+        in.deadline = deadline(rng);
+        break;
+      case 1:  // Eq. 6's edge: deadline == mean * t_prof of this run
+        in.deadline = in.xi.mean * space.CandidateProfileLatency(c, pi);
+        break;
+      case 2:  // Eq. 13's edge: deadline == mean * t_prof of one anytime stage
+        in.deadline = in.xi.mean * space.CandidateProfileLatency(c, pi);
+        if (model.is_anytime()) {
+          std::uniform_int_distribution<size_t> pick(0, model.anytime_stages.size() - 1);
+          const AnytimeStage& stage = model.anytime_stages[pick(rng)];
+          in.deadline = in.xi.mean * (stage.latency_fraction *
+                                      space.ProfileLatency(c.model_index, pi));
+        }
+        break;
+    }
+    in.period = (i % 4 == 0) ? in.deadline : in.deadline * (1.0 + unit(rng));
+    in.use_idle_ratio = (i / 3) % 2 == 0;
+    in.idle_ratio = 0.1 + 0.3 * unit(rng);
+    in.fixed_idle_power = 0.5 + 2.0 * unit(rng);
+    in.stop_at_cutoff = (i / 6) % 2 == 0;
+    in.percentile = (i / 12) % 2 == 0 ? 0.0 : 0.9;  // Eq. 12 charges the mean run
+    inputs.push_back(in);
+  }
+  return inputs;
+}
+
+TEST_F(DecisionEngineTest, SigmaZeroRowPassIsBitIdenticalToPerEntryScore) {
+  // A sigma == 0 ScoreAll / ScoreBatch is one row pass, tested once per chunk; every
+  // entry must carry exactly the bytes per-entry Score gives, whatever the vector
+  // dispatch, and — for the killed-at-deadline, Eq. 9 inputs the estimates.h
+  // functions model — exactly the mean-only inline estimate.
+  const size_t entries = static_cast<size_t>(engine_.num_entries());
+  const std::vector<DecisionInputs> inputs = SigmaZeroSweep(space_);
+  int on_edge = 0;
+  std::vector<ConfigScore> all(entries);
+  for (const bool simd : {false, true}) {
+    engine_.set_simd_enabled(simd);
+    for (const DecisionInputs& in : inputs) {
+      engine_.ScoreAll(in, all);
+      for (int ci = 0; ci < engine_.num_candidates(); ++ci) {
+        for (int pi = 0; pi < engine_.num_powers(); ++pi) {
+          const ConfigScore one = engine_.Score(ci, pi, in);
+          const ConfigScore& row = all[static_cast<size_t>(engine_.entry_index(ci, pi))];
+          ASSERT_EQ(0, std::memcmp(&one, &row, sizeof(ConfigScore)))
+              << "candidate " << ci << " power " << pi << " deadline " << in.deadline;
+          if (in.stop_at_cutoff && in.percentile == 0.0) {
+            const ConfigScore want =
+                InlineEstimate(Configuration{space_.candidate(ci), pi}, in);
+            ASSERT_EQ(0, std::memcmp(&want, &row, sizeof(ConfigScore)))
+                << "candidate " << ci << " power " << pi;
+          }
+          on_edge += in.deadline == in.xi.mean * space_.CandidateProfileLatency(
+                                                     space_.candidate(ci), pi);
+        }
+      }
+    }
+    std::vector<ConfigScore> batch(inputs.size() * entries);
+    engine_.ScoreBatch(inputs, batch);
+    for (size_t j = 0; j < inputs.size(); ++j) {
+      engine_.ScoreAll(inputs[j], all);
+      ASSERT_EQ(0, std::memcmp(&batch[j * entries], all.data(),
+                               entries * sizeof(ConfigScore)))
+          << "job " << j;
+    }
+  }
+  EXPECT_GT(on_edge, 0) << "no deadline landed on mean * profile";
+}
+
+TEST_F(DecisionEngineTest, SigmaZeroSelectBestMatchesSelectionOverPerEntryScores) {
+  // The fused SelectBest streams row-pass chunks; under every goal mode and three
+  // power limits it must pick what the same rule picks from per-entry Score calls.
+  const size_t entries = static_cast<size_t>(engine_.num_entries());
+  const Watts limits[] = {1e9, space_.cap(space_.num_powers() / 2), 0.0};
+  std::vector<ConfigScore> per_entry(entries);
+  DecisionEngine::SelectScratch scratch;
+  for (const DecisionInputs& in : SigmaZeroSweep(space_)) {
+    for (int ci = 0; ci < engine_.num_candidates(); ++ci) {
+      for (int pi = 0; pi < engine_.num_powers(); ++pi) {
+        per_entry[static_cast<size_t>(engine_.entry_index(ci, pi))] =
+            engine_.Score(ci, pi, in);
+      }
+    }
+    for (int mode = 0; mode < 3; ++mode) {
+      Goals goals;
+      goals.mode = static_cast<GoalMode>(mode);
+      goals.deadline = in.deadline;
+      goals.accuracy_goal = 0.9;
+      goals.energy_budget = 0.5;
+      goals.prob_threshold = in.percentile;
+      for (const Watts limit : limits) {
+        const auto fused =
+            engine_.SelectBest(goals, goals.energy_budget, in, limit, scratch);
+        const auto want =
+            engine_.SelectFromScores(goals, goals.energy_budget, per_entry, limit);
+        EXPECT_EQ(fused.candidate_index, want.candidate_index)
+            << "mode " << mode << " limit " << limit << " deadline " << in.deadline;
+        EXPECT_EQ(fused.power_index, want.power_index);
+        EXPECT_EQ(fused.feasible, want.feasible);
+      }
     }
   }
 }

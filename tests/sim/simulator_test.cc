@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -203,6 +204,109 @@ TEST_F(SimulatorTest, HigherCapNeverSlower) {
       const Seconds lat = sim_.NominalLatency(model, cap);
       EXPECT_LE(lat, prev + 1e-12);
       prev = lat;
+    }
+  }
+}
+
+// Every model the zoo offers on `platform`: the ImageNet zoo, the profiling
+// singletons and both evaluation sets.
+std::vector<DnnModel> ModelsOn(PlatformId platform) {
+  std::vector<DnnModel> all = BuildImageNetZoo();
+  for (DnnModel m : {BuildVgg16(), BuildResNet50(), BuildRnn(), BuildBert()}) {
+    all.push_back(std::move(m));
+  }
+  for (const TaskId task : {TaskId::kImageClassification, TaskId::kSentencePrediction}) {
+    for (DnnModel& m : BuildEvaluationSet(task, DnnSetChoice::kBoth)) {
+      all.push_back(std::move(m));
+    }
+  }
+  std::vector<DnnModel> supported;
+  for (DnnModel& m : all) {
+    if (m.SupportsPlatform(platform)) {
+      supported.push_back(std::move(m));
+    }
+  }
+  return supported;
+}
+
+// The power-curve formula the simulator's per-setting table is filled with.
+Seconds FormulaLatency(const PlatformSpec& p, const DnnModel& m, Watts cap) {
+  return m.ref_latency_on(p.id) / p.curve.SpeedAt(cap);
+}
+
+// The per-setting nominal-latency table must hold exactly the formula's bits for
+// every platform x model x setting, and TrueLatency must keep its multiplication
+// order on top of it.
+TEST(SimulatorLatencyTableTest, EqualsTheFormulaOnEveryLadderSetting) {
+  ExecutionContext ctx;
+  ctx.contention = ContentionType::kMemory;
+  ctx.contention_multiplier = 1.37;
+  ctx.input_factor = 1.11;
+  ctx.noise_multiplier = 0.97;
+  ctx.tail_multiplier = 1.3;
+  ctx.drift_multiplier = 1.05;
+  int checked = 0;
+  for (int id = 0; id < kNumPlatforms; ++id) {
+    const PlatformSpec& p = GetPlatform(static_cast<PlatformId>(id));
+    const std::vector<DnnModel> models = ModelsOn(p.id);
+    ASSERT_FALSE(models.empty()) << p.name;
+    const PlatformSimulator sim(p, models);
+    for (int mi = 0; mi < static_cast<int>(models.size()); ++mi) {
+      const DnnModel& m = models[static_cast<size_t>(mi)];
+      const double sensitivity = m.ContentionSensitivity(ctx.contention);
+      const double contention = 1.0 + (ctx.contention_multiplier - 1.0) * sensitivity;
+      for (const Watts cap : p.PowerSettings()) {
+        const Seconds want = FormulaLatency(p, m, cap);
+        const Seconds got = sim.NominalLatency(mi, cap);
+        EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(Seconds)))
+            << p.name << " " << m.name << " cap " << cap;
+        const Seconds true_want = want * contention * ctx.input_factor *
+                                  ctx.noise_multiplier * ctx.tail_multiplier *
+                                  ctx.drift_multiplier;
+        const Seconds true_got = sim.TrueLatency(mi, cap, ctx);
+        EXPECT_EQ(0, std::memcmp(&true_got, &true_want, sizeof(Seconds)))
+            << p.name << " " << m.name << " cap " << cap;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
+}
+
+// A cap that is not a ladder setting (a shared budget's split, a Fig. 3 sweep step)
+// must take the formula, not the nearest table entry.
+TEST(SimulatorLatencyTableTest, OffLadderCapsTakeTheFormula) {
+  for (int id = 0; id < kNumPlatforms; ++id) {
+    const PlatformSpec& p = GetPlatform(static_cast<PlatformId>(id));
+    const std::vector<DnnModel> models = ModelsOn(p.id);
+    const PlatformSimulator sim(p, models);
+    const std::vector<Watts> ladder = p.PowerSettings();
+    std::vector<Watts> off_ladder = {p.cap_min - p.cap_step, p.cap_min - 0.25 * p.cap_step,
+                                     p.cap_max + 0.25 * p.cap_step, p.cap_max + p.cap_step,
+                                     std::nextafter(ladder[1], 0.0),
+                                     std::nextafter(ladder[1], 1e9)};
+    for (size_t s = 0; s + 1 < ladder.size(); ++s) {
+      off_ladder.push_back(0.5 * (ladder[s] + ladder[s + 1]));
+      off_ladder.push_back(ladder[s] + 0.3 * p.cap_step);
+    }
+    for (int mi = 0; mi < static_cast<int>(models.size()); ++mi) {
+      const DnnModel& m = models[static_cast<size_t>(mi)];
+      for (const Watts cap : off_ladder) {
+        const Seconds want = FormulaLatency(p, m, cap);
+        const Seconds got = sim.NominalLatency(mi, cap);
+        EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(Seconds)))
+            << p.name << " " << m.name << " cap " << cap;
+      }
+      // Strictly inside the convex part of the curve a midpoint's latency lies
+      // strictly between its neighbours': no lookup snapped it to a setting.
+      for (size_t s = 0; s + 1 < ladder.size(); ++s) {
+        if (ladder[s + 1] > p.curve.cap_sat || ladder[s] < p.curve.cap_min) {
+          continue;
+        }
+        const Seconds mid = sim.NominalLatency(mi, 0.5 * (ladder[s] + ladder[s + 1]));
+        EXPECT_LT(mid, sim.NominalLatency(mi, ladder[s])) << p.name << " " << s;
+        EXPECT_GT(mid, sim.NominalLatency(mi, ladder[s + 1])) << p.name << " " << s;
+      }
     }
   }
 }
