@@ -7,16 +7,24 @@
 // Config-space size is scaled by replicating the evaluation candidate set: factor 1 is
 // the paper's CPU1 space (110 configurations), factor 16 is 1760.  Derived metrics
 // (ratios; machine-stable) feed the perf-trajectory gate — see bench/trajectory/.
+//
+// The oracle cases time the clairvoyant Oracle's per-input search on the CPU1 (110
+// configurations) and GPU (350) spaces: OracleScheduler::Decide, one power-ladder
+// pass per candidate, against the per-configuration Execute loop it replaced.
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench/bench_harness.h"
+#include "src/baselines/oracle.h"
 #include "src/common/simd.h"
 #include "src/core/config_space.h"
 #include "src/core/decision_engine.h"
 #include "src/core/estimates.h"
 #include "src/dnn/zoo.h"
+#include "src/harness/constraint_grid.h"
 #include "src/sim/platform.h"
+#include "src/workload/trace.h"
 
 namespace alert {
 namespace {
@@ -125,6 +133,103 @@ double RunSelectBest(bench::Harness& h, Fixture& f, const std::string& name,
   });
 }
 
+TraceOptions OracleTraceOptions() {
+  TraceOptions options;
+  options.num_inputs = 64;
+  options.seed = 7;
+  return options;
+}
+
+// The Oracle's inputs on one platform: the image-classification evaluation space and
+// a memory-contention trace, under an energy-minimization goal at the base deadline.
+struct OracleFixture {
+  explicit OracleFixture(PlatformId platform)
+      : models(BuildEvaluationSet(TaskId::kImageClassification, DnnSetChoice::kBoth)),
+        sim(GetPlatform(platform), models), space(sim),
+        trace(MakeEnvironmentTrace(TaskId::kImageClassification, platform,
+                                   ContentionType::kMemory, OracleTraceOptions())) {
+    goals.mode = GoalMode::kMinimizeEnergy;
+    goals.deadline = BaseDeadline(TaskId::kImageClassification, platform);
+    goals.accuracy_goal = 0.9;
+  }
+  InferenceRequest Request(int n) const {
+    InferenceRequest r;
+    r.input_index = n;
+    r.deadline = goals.deadline;
+    r.period = goals.deadline;
+    return r;
+  }
+  std::vector<DnnModel> models;
+  PlatformSimulator sim;
+  ConfigSpace space;
+  EnvironmentTrace trace;
+  Goals goals;
+};
+
+// The Oracle's search before the power-ladder pass: one Execute per configuration,
+// each folded into the fallback and scored into the tracker.
+SchedulingDecision OracleExecuteLoop(const OracleFixture& f, const InferenceRequest& request) {
+  const ExecutionContext& ctx = f.trace.inputs[static_cast<size_t>(request.input_index)];
+  const bool min_energy = f.goals.mode == GoalMode::kMinimizeEnergy;
+  BestConfigTracker best(f.goals.mode, 0.0);
+  int fb_candidate = 0;
+  int fb_power = f.space.default_power_index();
+  double fb_key_met = -1.0;
+  double fb_acc = -1.0;
+  double fb_energy = std::numeric_limits<double>::infinity();
+  for (int ci = 0; ci < f.space.num_candidates(); ++ci) {
+    for (int pi = 0; pi < f.space.num_powers(); ++pi) {
+      SchedulingDecision d;
+      d.candidate = f.space.candidate(ci);
+      d.power_index = pi;
+      d.power_cap = f.space.cap(pi);
+      const Measurement m = f.sim.Execute(d.ToExecRequest(request), ctx);
+      const double met = m.deadline_met ? 1.0 : 0.0;
+      const bool better_fallback =
+          met > fb_key_met ||
+          (met == fb_key_met &&
+           (min_energy ? (m.accuracy > fb_acc ||
+                          (m.accuracy == fb_acc && m.energy < fb_energy))
+                       : (m.energy < fb_energy ||
+                          (m.energy == fb_energy && m.accuracy > fb_acc))));
+      if (better_fallback) {
+        fb_candidate = ci;
+        fb_power = pi;
+        fb_key_met = met;
+        fb_acc = m.accuracy;
+        fb_energy = m.energy;
+      }
+      const Joules allowance = 0.98 * f.goals.energy_budget;
+      best.Consider(ci, pi,
+                    ScoreOutcome(f.goals, allowance, m.accuracy, m.energy, m.latency,
+                                 m.deadline_met, 1e-12));
+    }
+  }
+  SchedulingDecision decision;
+  decision.candidate = f.space.candidate(best.found() ? best.candidate_index() : fb_candidate);
+  decision.power_index = best.found() ? best.power_index() : fb_power;
+  decision.power_cap = f.space.cap(decision.power_index);
+  return decision;
+}
+
+// One op = one Oracle decision, cycling through the trace's inputs.
+double RunOracleDecide(bench::Harness& h, OracleFixture& f, const std::string& name) {
+  OracleScheduler oracle(f.space, f.goals, f.trace.inputs);
+  int n = 0;
+  return h.RunCase(name, [&] {
+    bench::DoNotOptimize(oracle.Decide(f.Request(n)));
+    n = (n + 1) % f.trace.num_inputs();
+  });
+}
+
+double RunOracleExecuteLoop(bench::Harness& h, OracleFixture& f, const std::string& name) {
+  int n = 0;
+  return h.RunCase(name, [&] {
+    bench::DoNotOptimize(OracleExecuteLoop(f, f.Request(n)));
+    n = (n + 1) % f.trace.num_inputs();
+  });
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -136,6 +241,11 @@ int Main(int argc, char** argv) {
   h.Context("simd_active", small.engine.simd_active());
   h.Context("configs_small", static_cast<double>(small.space.num_configurations()));
   h.Context("configs_large", static_cast<double>(large.space.num_configurations()));
+  OracleFixture oracle_cpu1(PlatformId::kCpu1);
+  OracleFixture oracle_gpu(PlatformId::kGpu);
+  h.Context("oracle_configs_cpu1",
+            static_cast<double>(oracle_cpu1.space.num_configurations()));
+  h.Context("oracle_configs_gpu", static_cast<double>(oracle_gpu.space.num_configurations()));
 
   const double naive_110 = RunNaive(h, small, "naive_full_rescore_110");
   const double naive_1760 = RunNaive(h, large, "naive_full_rescore_1760");
@@ -160,6 +270,13 @@ int Main(int argc, char** argv) {
   const double select_sigma0_1760 =
       RunSelectBest(h, large, "select_best_sigma0_1760", sigma0);
 
+  const double oracle_110 = RunOracleDecide(h, oracle_cpu1, "oracle_decide_110");
+  const double oracle_350 = RunOracleDecide(h, oracle_gpu, "oracle_decide_350");
+  const double oracle_loop_110 =
+      RunOracleExecuteLoop(h, oracle_cpu1, "oracle_execute_loop_110");
+  const double oracle_loop_350 =
+      RunOracleExecuteLoop(h, oracle_gpu, "oracle_execute_loop_350");
+
   small.engine.set_simd_enabled(true);
   large.engine.set_simd_enabled(true);
   const bool simd = small.engine.simd_active();
@@ -180,6 +297,9 @@ int Main(int argc, char** argv) {
   h.Derive("score_all_sigma0_vs_scalar_1760", scalar_1760 / sigma0_1760);
   h.Derive("select_best_sigma0_vs_scalar_110", select_scalar_110 / select_sigma0_110);
   h.Derive("select_best_sigma0_vs_scalar_1760", select_scalar_1760 / select_sigma0_1760);
+  // How much cheaper the Oracle's ladder search is than its per-configuration loop.
+  h.Derive("oracle_ladder_vs_execute_loop_110", oracle_loop_110 / oracle_110);
+  h.Derive("oracle_ladder_vs_execute_loop_350", oracle_loop_350 / oracle_350);
   if (simd) {
     h.Derive("score_all_simd_speedup_110", scalar_110 / simd_110);
     h.Derive("score_all_simd_speedup_1760", scalar_1760 / simd_1760);

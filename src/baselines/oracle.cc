@@ -10,7 +10,8 @@ namespace alert {
 
 OracleScheduler::OracleScheduler(const ConfigSpace& space, const Goals& goals,
                                  std::span<const ExecutionContext> contexts)
-    : space_(space), goals_(goals), contexts_(contexts) {
+    : space_(space), goals_(goals), contexts_(contexts),
+      ladder_(static_cast<size_t>(space.num_powers())) {
   ALERT_CHECK(goals_.Valid());
 }
 
@@ -36,13 +37,19 @@ SchedulingDecision OracleScheduler::Decide(const InferenceRequest& request) {
   double fb_acc = -1.0;
   double fb_energy = std::numeric_limits<double>::infinity();
 
+  // Cumulative pacing: spend within the running budget, with a 2% reserve so that
+  // greedy per-input accuracy maximization cannot ride the balance to exactly zero and
+  // then be forced over budget by a contention phase.
+  const Joules allowance =
+      0.98 * goals_.energy_budget * static_cast<double>(inputs_seen_ + 1) - energy_spent_;
+
   for (int ci = 0; ci < space_.num_candidates(); ++ci) {
+    SchedulingDecision d;
+    d.candidate = space_.candidate(ci);
+    // One pass over the power ladder: ladder_[pi] is what Execute reports at cap(pi).
+    sim.ExecuteLadder(d.ToExecRequest(request), ctx, ladder_);
     for (int pi = 0; pi < space_.num_powers(); ++pi) {
-      SchedulingDecision d;
-      d.candidate = space_.candidate(ci);
-      d.power_index = pi;
-      d.power_cap = space_.cap(pi);
-      const Measurement m = sim.Execute(d.ToExecRequest(request), ctx);
+      const Outcome& m = ladder_[static_cast<size_t>(pi)];
 
       const double met = m.deadline_met ? 1.0 : 0.0;
       const bool better_fallback =
@@ -60,12 +67,6 @@ SchedulingDecision OracleScheduler::Decide(const InferenceRequest& request) {
         fb_energy = m.energy;
       }
 
-      // Cumulative pacing: spend within the running budget, with a 2% reserve so that
-      // greedy per-input accuracy maximization cannot ride the balance to exactly
-      // zero and then be forced over budget by a contention phase.
-      const Joules allowance =
-          0.98 * goals_.energy_budget * static_cast<double>(inputs_seen_ + 1) -
-          energy_spent_;
       best.Consider(ci, pi,
                     ScoreOutcome(goals_, allowance, m.accuracy, m.energy, m.latency,
                                  m.deadline_met, /*slack=*/1e-12));

@@ -3,7 +3,11 @@
 // "Oracle" has perfect, impractical knowledge: for every input it evaluates the *true*
 // outcome of every configuration (by querying the simulator with the input's actual
 // environment state) and picks the dynamic optimum.  It bounds what any scheduler could
-// achieve with per-input adaptation.  The static counterpart — the best single
+// achieve with per-input adaptation.  Per input it makes one
+// PlatformSimulator::ExecuteLadder pass per candidate — the outcome Execute would
+// report at every power setting — and scores each with the same goal rules as ALERT
+// (ScoreOutcome into a BestConfigTracker, exact comparisons), visiting configurations
+// candidate-major.  The static counterpart — the best single
 // configuration for a whole trace — is computed by the harness (see
 // src/harness/static_oracle.h) since it requires a full-trace sweep rather than
 // per-input decisions.
@@ -11,11 +15,13 @@
 #define SRC_BASELINES_ORACLE_H_
 
 #include <span>
+#include <vector>
 
 #include "src/core/config_space.h"
 #include "src/core/goals.h"
 #include "src/core/scheduler.h"
 #include "src/sim/execution_context.h"
+#include "src/sim/simulator.h"
 
 namespace alert {
 
@@ -34,6 +40,8 @@ class OracleScheduler final : public Scheduler {
   const ConfigSpace& space_;
   Goals goals_;
   std::span<const ExecutionContext> contexts_;
+  // Per-setting outcomes of the candidate being searched, sized once to the ladder.
+  std::vector<Outcome> ladder_;
 
   // Budget pacing for accuracy-maximization: the energy budget is cumulative (a battery
   // bound), so the oracle may bank surplus from cheap inputs and spend it on expensive

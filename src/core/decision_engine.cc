@@ -35,29 +35,6 @@ Seconds FastExpectedRuntime(const XiBelief& xi, Seconds profile, Seconds cutoff)
 
 }  // namespace
 
-GoalScore ScoreOutcome(const Goals& goals, Joules allowance, double accuracy,
-                       Joules energy, Seconds latency, bool deadline_ok, double slack) {
-  GoalScore s;
-  switch (goals.mode) {
-    case GoalMode::kMinimizeEnergy:
-      s.feasible = deadline_ok && accuracy >= goals.accuracy_goal - slack;
-      s.objective = energy;
-      s.tiebreak = -accuracy;
-      break;
-    case GoalMode::kMaximizeAccuracy:
-      s.feasible = deadline_ok && energy <= allowance + slack;
-      s.objective = accuracy;
-      s.tiebreak = energy;
-      break;
-    case GoalMode::kMinimizeLatency:
-      s.feasible = accuracy >= goals.accuracy_goal - slack && energy <= allowance + slack;
-      s.objective = latency;
-      s.tiebreak = energy;
-      break;
-  }
-  return s;
-}
-
 double GoalObjective(GoalMode mode, Joules energy, double error, Seconds latency) {
   switch (mode) {
     case GoalMode::kMinimizeEnergy:
@@ -68,30 +45,6 @@ double GoalObjective(GoalMode mode, Joules energy, double error, Seconds latency
       return latency;
   }
   return energy;
-}
-
-void BestConfigTracker::Consider(int candidate_index, int power_index,
-                                 const GoalScore& score) {
-  if (!score.feasible) {
-    return;
-  }
-  bool better = !found();
-  if (!better) {
-    const double diff = score.objective - objective_;
-    if (maximize_) {
-      better = diff > epsilon_ ||
-               (std::abs(diff) <= epsilon_ && score.tiebreak < tiebreak_);
-    } else {
-      better = diff < -epsilon_ ||
-               (std::abs(diff) <= epsilon_ && score.tiebreak < tiebreak_);
-    }
-  }
-  if (better) {
-    candidate_index_ = candidate_index;
-    power_index_ = power_index;
-    objective_ = score.objective;
-    tiebreak_ = score.tiebreak;
-  }
 }
 
 void WarmGaussianTable() { FastStandardNormalCdf(0.0); }

@@ -77,6 +77,7 @@
 #ifndef SRC_CORE_DECISION_ENGINE_H_
 #define SRC_CORE_DECISION_ENGINE_H_
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -129,9 +130,31 @@ struct GoalScore {
   double objective = 0.0;  // minimized, or maximized in kMaximizeAccuracy mode
   double tiebreak = 0.0;   // minimized among equal objectives
 };
-GoalScore ScoreOutcome(const Goals& goals, Joules allowance, double accuracy,
-                       Joules energy, Seconds latency, bool deadline_ok,
-                       double slack = 0.0);
+// Defined here, inline, because it sits in the innermost loop of both deciders:
+// ALERT's per-entry selection and the Oracle's per-setting search.
+inline GoalScore ScoreOutcome(const Goals& goals, Joules allowance, double accuracy,
+                              Joules energy, Seconds latency, bool deadline_ok,
+                              double slack = 0.0) {
+  GoalScore s;
+  switch (goals.mode) {
+    case GoalMode::kMinimizeEnergy:
+      s.feasible = deadline_ok && accuracy >= goals.accuracy_goal - slack;
+      s.objective = energy;
+      s.tiebreak = -accuracy;
+      break;
+    case GoalMode::kMaximizeAccuracy:
+      s.feasible = deadline_ok && energy <= allowance + slack;
+      s.objective = accuracy;
+      s.tiebreak = energy;
+      break;
+    case GoalMode::kMinimizeLatency:
+      s.feasible = accuracy >= goals.accuracy_goal - slack && energy <= allowance + slack;
+      s.objective = latency;
+      s.tiebreak = energy;
+      break;
+  }
+  return s;
+}
 
 // Lower-is-better scalar objective of a whole-run result for a goal mode
 // (energy / error / latency).  Used by the static oracle.
@@ -139,12 +162,34 @@ double GoalObjective(GoalMode mode, Joules energy, double error, Seconds latency
 
 // Tracks the best (configuration, GoalScore) seen so far.  `epsilon` is the objective
 // comparison tolerance: ALERT uses 1e-12, the clairvoyant Oracle exact comparisons (0).
+// Consider() is inline for the same reason as ScoreOutcome.
 class BestConfigTracker {
  public:
   BestConfigTracker(GoalMode mode, double epsilon)
       : maximize_(mode == GoalMode::kMaximizeAccuracy), epsilon_(epsilon) {}
 
-  void Consider(int candidate_index, int power_index, const GoalScore& score);
+  void Consider(int candidate_index, int power_index, const GoalScore& score) {
+    if (!score.feasible) {
+      return;
+    }
+    bool better = !found();
+    if (!better) {
+      const double diff = score.objective - objective_;
+      if (maximize_) {
+        better = diff > epsilon_ ||
+                 (std::abs(diff) <= epsilon_ && score.tiebreak < tiebreak_);
+      } else {
+        better = diff < -epsilon_ ||
+                 (std::abs(diff) <= epsilon_ && score.tiebreak < tiebreak_);
+      }
+    }
+    if (better) {
+      candidate_index_ = candidate_index;
+      power_index_ = power_index;
+      objective_ = score.objective;
+      tiebreak_ = score.tiebreak;
+    }
+  }
 
   bool found() const { return candidate_index_ >= 0; }
   int candidate_index() const { return candidate_index_; }

@@ -10,6 +10,30 @@ namespace {
 
 constexpr double kTimeEps = 1e-12;
 
+// Per-model contention response: the global multiplier's excess is scaled by the
+// model's sensitivity to the active contention type.
+inline double ContentionFactor(const DnnModel& m, const ExecutionContext& ctx) {
+  return 1.0 + (ctx.contention_multiplier - 1.0) * m.ContentionSensitivity(ctx.contention);
+}
+
+// The true latency of a nominal one under the input's environment.  TrueLatency and
+// ExecuteLadder both multiply in this order, so their bits cannot drift apart.
+inline Seconds ApplyContext(Seconds nominal, double contention,
+                            const ExecutionContext& ctx) {
+  return nominal * contention * ctx.input_factor * ctx.noise_multiplier *
+         ctx.tail_multiplier * ctx.drift_multiplier;
+}
+
+// Package draw model `m` would take with no cap.
+inline Watts PowerDemand(const DnnModel& m, const PlatformSpec& platform) {
+  return m.power_demand_frac * platform.curve.cap_sat;
+}
+
+// Average package+base draw of a run whose package demand is `demand` under `cap`.
+inline Watts DrawUnderCap(Watts cap, Watts demand, Watts base) {
+  return std::min(cap, demand) + base;
+}
+
 }  // namespace
 
 PlatformSimulator::PlatformSimulator(const PlatformSpec& platform,
@@ -50,9 +74,8 @@ Seconds PlatformSimulator::NominalLatency(int model_index, Watts cap) const {
 }
 
 Watts PlatformSimulator::InferencePower(int model_index, Watts cap) const {
-  const DnnModel& m = model(model_index);
-  const Watts demand = m.power_demand_frac * platform_.curve.cap_sat;
-  return std::min(cap, demand) + platform_.base_power;
+  return DrawUnderCap(cap, PowerDemand(model(model_index), platform_),
+                      platform_.base_power);
 }
 
 Watts PlatformSimulator::IdlePower(const ExecutionContext& ctx) const {
@@ -61,28 +84,27 @@ Watts PlatformSimulator::IdlePower(const ExecutionContext& ctx) const {
 
 Seconds PlatformSimulator::TrueLatency(int model_index, Watts cap,
                                        const ExecutionContext& ctx) const {
-  const DnnModel& m = model(model_index);
-  // Per-model contention response: the global multiplier's excess is scaled by the
-  // model's sensitivity to the active contention type.
-  const double sensitivity = m.ContentionSensitivity(ctx.contention);
-  const double contention = 1.0 + (ctx.contention_multiplier - 1.0) * sensitivity;
-  return NominalLatency(model_index, cap) * contention * ctx.input_factor *
-         ctx.noise_multiplier * ctx.tail_multiplier * ctx.drift_multiplier;
+  return ApplyContext(NominalLatency(model_index, cap),
+                      ContentionFactor(model(model_index), ctx), ctx);
 }
 
-Measurement PlatformSimulator::Execute(const ExecRequest& request,
-                                       const ExecutionContext& ctx) const {
-  const DnnModel& m = model(request.model_index);
-  ALERT_CHECK(request.deadline > 0.0);
+namespace {
 
-  const Seconds t_full = TrueLatency(request.model_index, request.power_cap, ctx);
+// What one inference of `m` reports when its full network takes `t_full` (Eq. 3/13,
+// Fig. 3 energy accounting).  The only copy of the outcome rules: Execute applies it
+// at one cap, ExecuteLadder at every setting of the power ladder.
+[[gnu::always_inline]] inline Measurement ExecuteAt(const DnnModel& m,
+                                                    const ExecRequest& request,
+                                                    Seconds t_full,
+                                                    Watts inference_power,
+                                                    Watts idle_power) {
   const Seconds deadline = request.deadline;
   const double q_fail = TaskRandomGuessAccuracy(m.task);
 
   Measurement out;
   out.deadline = deadline;
-  out.inference_power = InferencePower(request.model_index, request.power_cap);
-  out.idle_power = IdlePower(ctx);
+  out.inference_power = inference_power;
+  out.idle_power = idle_power;
 
   Seconds run_time = 0.0;  // how long the accelerator actually computed
   if (!m.is_anytime()) {
@@ -166,6 +188,35 @@ Measurement PlatformSimulator::Execute(const ExecRequest& request,
   out.period = actual_period;
   out.energy = out.inference_power * run_time + out.idle_power * idle_time;
   return out;
+}
+
+}  // namespace
+
+Measurement PlatformSimulator::Execute(const ExecRequest& request,
+                                       const ExecutionContext& ctx) const {
+  const DnnModel& m = model(request.model_index);
+  ALERT_CHECK(request.deadline > 0.0);
+  return ExecuteAt(m, request, TrueLatency(request.model_index, request.power_cap, ctx),
+                   InferencePower(request.model_index, request.power_cap), IdlePower(ctx));
+}
+
+void PlatformSimulator::ExecuteLadder(const ExecRequest& request,
+                                      const ExecutionContext& ctx,
+                                      std::span<Outcome> out) const {
+  const DnnModel& m = model(request.model_index);
+  ALERT_CHECK(request.deadline > 0.0);
+  ALERT_CHECK(out.size() == caps_.size());
+  const double contention = ContentionFactor(m, ctx);
+  const Watts demand = PowerDemand(m, platform_);
+  const Watts idle_power = IdlePower(ctx);
+  const Seconds* nominal =
+      nominal_latency_.data() + static_cast<size_t>(request.model_index) * caps_.size();
+  for (size_t s = 0; s < caps_.size(); ++s) {
+    const Measurement r =
+        ExecuteAt(m, request, ApplyContext(nominal[s], contention, ctx),
+                  DrawUnderCap(caps_[s], demand, platform_.base_power), idle_power);
+    out[s] = Outcome{r.latency, r.energy, r.accuracy, r.deadline_met};
+  }
 }
 
 }  // namespace alert

@@ -7,13 +7,18 @@
 // the energy consumed over the input period (run-time plus idle energy, as measured for
 // Fig. 3).
 //
+// ExecuteLadder() answers the same question for one request at every setting of the
+// power ladder in one pass — the clairvoyant Oracle's per-input search.  Both run one
+// copy of the outcome rules, so the ladder's entry for a setting has exactly the bits
+// Execute() reports at that cap.
+//
 // The same object also exposes the *nominal profile* (latency at each cap with no
 // contention and a unit input): this is what offline profiling would record, and what
 // the controllers consume as t_prof.  The nominal latency of every model at every
 // setting of `platform.PowerSettings()` is computed once, at construction, into an
-// immutable table that Execute / TrueLatency / NominalLatency read by exact cap; a cap
-// off the ladder falls back to the power-curve formula the table was filled with, so
-// both give the same bits.  The simulator is immutable after construction, so
+// immutable table that Execute / ExecuteLadder / TrueLatency / NominalLatency read; a
+// cap off the ladder falls back to the power-curve formula the table was filled with,
+// so both give the same bits.  The simulator is immutable after construction, so
 // concurrent sweep rows may share it.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -67,6 +72,14 @@ struct Measurement {
   Seconds deadline = 0.0;
 };
 
+// The part of a Measurement a clairvoyant search compares configurations by.
+struct Outcome {
+  Seconds latency = 0.0;
+  Joules energy = 0.0;
+  double accuracy = 0.0;
+  bool deadline_met = false;
+};
+
 class PlatformSimulator {
  public:
   // `platform` and `models` must outlive the simulator.
@@ -75,6 +88,14 @@ class PlatformSimulator {
   // Runs one inference under the given environment.  Pure function of its arguments —
   // the harness replays identical contexts across schedulers.
   Measurement Execute(const ExecRequest& request, const ExecutionContext& ctx) const;
+
+  // Execute() at every setting of the power ladder: out[s] holds the latency, energy,
+  // accuracy and deadline_met that Execute() reports for `request` with
+  // power_cap = platform().PowerSettings()[s], bit for bit; request.power_cap is
+  // ignored.  `out` must have one entry per setting (checked, like the model index
+  // and deadline > 0).
+  void ExecuteLadder(const ExecRequest& request, const ExecutionContext& ctx,
+                     std::span<Outcome> out) const;
 
   // Nominal profile latency: model under `cap`, no contention, unit input.  A table
   // lookup for a cap on the platform's power ladder, the formula otherwise.

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "src/baselines/app_only.h"
 #include "src/baselines/no_coord.h"
 #include "src/baselines/oracle.h"
 #include "src/baselines/sys_only.h"
+#include "src/core/decision_engine.h"
 #include "src/dnn/zoo.h"
+#include "src/harness/constraint_grid.h"
+#include "src/harness/experiment.h"
 #include "src/sim/platform.h"
 
 namespace alert {
@@ -196,6 +204,191 @@ TEST_F(BaselinesTest, OracleMaximizesAccuracyUnderBudget) {
   const Measurement m = sim_.Execute(d.ToExecRequest(Request(0, 0.08)), contexts_[0]);
   // With a generous budget the oracle should reach the top of the accuracy range.
   EXPECT_GE(m.accuracy, 0.945);
+}
+
+// --- Oracle equivalence ---
+
+// The specification of the Oracle's decision: one Execute per configuration, in
+// candidate-major order, scored by ScoreOutcome into a BestConfigTracker with exact
+// comparisons, with the deadline-first fallback and cumulative budget pacing.
+// OracleScheduler must decide exactly as this does.
+class ReferenceOracle final : public Scheduler {
+ public:
+  ReferenceOracle(const ConfigSpace& space, const Goals& goals,
+                  std::span<const ExecutionContext> contexts)
+      : space_(space), goals_(goals), contexts_(contexts) {}
+
+  SchedulingDecision Decide(const InferenceRequest& request) override {
+    const ExecutionContext& ctx = contexts_[static_cast<size_t>(request.input_index)];
+    const PlatformSimulator& sim = space_.simulator();
+    const bool min_energy = goals_.mode == GoalMode::kMinimizeEnergy;
+    BestConfigTracker best(goals_.mode, /*epsilon=*/0.0);
+    int fb_candidate = 0;
+    int fb_power = space_.default_power_index();
+    double fb_key_met = -1.0;
+    double fb_acc = -1.0;
+    double fb_energy = std::numeric_limits<double>::infinity();
+    for (int ci = 0; ci < space_.num_candidates(); ++ci) {
+      for (int pi = 0; pi < space_.num_powers(); ++pi) {
+        SchedulingDecision d;
+        d.candidate = space_.candidate(ci);
+        d.power_index = pi;
+        d.power_cap = space_.cap(pi);
+        const Measurement m = sim.Execute(d.ToExecRequest(request), ctx);
+        const double met = m.deadline_met ? 1.0 : 0.0;
+        const bool better_fallback =
+            met > fb_key_met ||
+            (met == fb_key_met &&
+             (min_energy ? (m.accuracy > fb_acc ||
+                            (m.accuracy == fb_acc && m.energy < fb_energy))
+                         : (m.energy < fb_energy ||
+                            (m.energy == fb_energy && m.accuracy > fb_acc))));
+        if (better_fallback) {
+          fb_candidate = ci;
+          fb_power = pi;
+          fb_key_met = met;
+          fb_acc = m.accuracy;
+          fb_energy = m.energy;
+        }
+        const Joules allowance =
+            0.98 * goals_.energy_budget * static_cast<double>(inputs_seen_ + 1) -
+            energy_spent_;
+        best.Consider(ci, pi,
+                      ScoreOutcome(goals_, allowance, m.accuracy, m.energy, m.latency,
+                                   m.deadline_met, /*slack=*/1e-12));
+      }
+    }
+    fallback_inputs_ += best.found() ? 0 : 1;
+    SchedulingDecision decision;
+    const int best_candidate = best.found() ? best.candidate_index() : fb_candidate;
+    const int best_power = best.found() ? best.power_index() : fb_power;
+    decision.candidate = space_.candidate(best_candidate);
+    decision.power_index = best_power;
+    decision.power_cap = space_.cap(best_power);
+    return decision;
+  }
+
+  void Observe(const SchedulingDecision&, const Measurement& m) override {
+    energy_spent_ += m.energy;
+    ++inputs_seen_;
+  }
+
+  std::string_view name() const override { return "Oracle"; }
+  // Inputs on which nothing was feasible and the fallback decided.
+  int fallback_inputs() const { return fallback_inputs_; }
+
+ private:
+  const ConfigSpace& space_;
+  Goals goals_;
+  std::span<const ExecutionContext> contexts_;
+  Joules energy_spent_ = 0.0;
+  int inputs_seen_ = 0;
+  int fallback_inputs_ = 0;
+};
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// Every field of two runs, doubles by bit pattern.  Returns "" when equal, otherwise
+// the first difference.
+std::string FirstDifference(const RunResult& a, const RunResult& b) {
+  if (a.scheme != b.scheme || a.num_inputs != b.num_inputs) {
+    return "scheme/num_inputs";
+  }
+  if (!SameBits(a.avg_energy, b.avg_energy) || !SameBits(a.avg_accuracy, b.avg_accuracy) ||
+      !SameBits(a.avg_error, b.avg_error) ||
+      !SameBits(a.avg_perplexity, b.avg_perplexity) ||
+      !SameBits(a.avg_latency, b.avg_latency) ||
+      !SameBits(a.violation_fraction, b.violation_fraction) ||
+      !SameBits(a.deadline_miss_fraction, b.deadline_miss_fraction)) {
+    return "aggregate";
+  }
+  if (a.records.size() != b.records.size()) {
+    return "record count";
+  }
+  for (size_t n = 0; n < a.records.size(); ++n) {
+    const InputRecord& x = a.records[n];
+    const InputRecord& y = b.records[n];
+    const Measurement& m = x.measurement;
+    const Measurement& w = y.measurement;
+    if (!(x.decision.candidate == y.decision.candidate) ||
+        x.decision.power_index != y.decision.power_index ||
+        !SameBits(x.decision.power_cap, y.decision.power_cap)) {
+      return "decision of input " + std::to_string(n);
+    }
+    if (!SameBits(m.latency, w.latency) || !SameBits(m.period, w.period) ||
+        !SameBits(m.energy, w.energy) || !SameBits(m.inference_power, w.inference_power) ||
+        !SameBits(m.idle_power, w.idle_power) || !SameBits(m.accuracy, w.accuracy) ||
+        m.deadline_met != w.deadline_met || m.delivered_stage != w.delivered_stage ||
+        !SameBits(m.xi_anchor_time, w.xi_anchor_time) ||
+        !SameBits(m.xi_anchor_fraction, w.xi_anchor_fraction) ||
+        m.xi_censored != w.xi_censored || !SameBits(m.deadline, w.deadline) ||
+        x.violated != y.violated) {
+      return "measurement of input " + std::to_string(n);
+    }
+  }
+  return "";
+}
+
+// The goals of grid setting `i` in `mode`; kMinimizeLatency takes the accuracy goal
+// of the energy grid and the budget of the accuracy grid.
+Goals GridGoals(GoalMode mode, TaskId task, PlatformId platform, size_t i) {
+  const std::vector<Goals> energy_grid =
+      BuildConstraintGrid(GoalMode::kMinimizeEnergy, task, platform);
+  const std::vector<Goals> budget_grid =
+      BuildConstraintGrid(GoalMode::kMaximizeAccuracy, task, platform);
+  switch (mode) {
+    case GoalMode::kMinimizeEnergy:
+      return energy_grid[i];
+    case GoalMode::kMaximizeAccuracy:
+      return budget_grid[i];
+    case GoalMode::kMinimizeLatency: {
+      Goals g = energy_grid[i];
+      g.mode = GoalMode::kMinimizeLatency;
+      g.energy_budget = budget_grid[i].energy_budget;
+      return g;
+    }
+  }
+  return energy_grid[i];
+}
+
+// OracleScheduler replays seeded traces exactly as the per-configuration reference
+// does: CPU1 and GPU, both tasks, all three goal modes, tight to loose settings, with
+// Observe feeding the budget pacing.  Every decision and every RunResult field must
+// be bit-equal.
+TEST(OracleEquivalenceTest, DecidesExactlyAsThePerConfigurationExecuteLoop) {
+  int runs = 0;
+  int fallback_inputs = 0;
+  for (const PlatformId platform : {PlatformId::kCpu1, PlatformId::kGpu}) {
+    for (const TaskId task : {TaskId::kImageClassification, TaskId::kSentencePrediction}) {
+      ExperimentOptions options;
+      options.num_inputs = 120;
+      options.seed = 11 + static_cast<uint64_t>(platform) * 7 + static_cast<uint64_t>(task);
+      const ContentionType contention = platform == PlatformId::kGpu
+                                            ? ContentionType::kCompute
+                                            : ContentionType::kMemory;
+      const Experiment experiment(task, platform, contention, options);
+      const Stack& stack = experiment.stack(DnnSetChoice::kBoth);
+      for (const GoalMode mode : {GoalMode::kMinimizeEnergy, GoalMode::kMaximizeAccuracy,
+                                  GoalMode::kMinimizeLatency}) {
+        for (const size_t setting : {0u, 7u, 14u, 21u, 28u, 35u}) {
+          const Goals goals = GridGoals(mode, task, platform, setting);
+          OracleScheduler oracle(stack.space(), goals, experiment.trace().inputs);
+          ReferenceOracle reference(stack.space(), goals, experiment.trace().inputs);
+          const RunResult got = experiment.Run(stack, oracle, goals, /*keep_records=*/true);
+          const RunResult want =
+              experiment.Run(stack, reference, goals, /*keep_records=*/true);
+          EXPECT_EQ(FirstDifference(got, want), "")
+              << GetPlatform(platform).name << " task " << static_cast<int>(task) << " "
+              << GoalModeName(mode) << " setting " << setting;
+          fallback_inputs += reference.fallback_inputs();
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 72);
+  // The settings reach the infeasible corner too, where the fallback decides.
+  EXPECT_GT(fallback_inputs, 0);
 }
 
 }  // namespace

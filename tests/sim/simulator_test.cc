@@ -1,11 +1,14 @@
 #include "src/sim/simulator.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/dnn/zoo.h"
 
 namespace alert {
@@ -309,6 +312,189 @@ TEST(SimulatorLatencyTableTest, OffLadderCapsTakeTheFormula) {
       }
     }
   }
+}
+
+// A random environment with the given contention type: every factor ExecuteLadder
+// hoists or multiplies in is drawn away from its neutral value.
+ExecutionContext RandomContext(Rng& rng, ContentionType contention) {
+  ExecutionContext ctx;
+  ctx.contention = contention;
+  ctx.contention_active = contention != ContentionType::kNone;
+  ctx.contention_multiplier = ctx.contention_active ? rng.Uniform(1.0, 2.5) : 1.0;
+  ctx.extra_idle_power = ctx.contention_active ? rng.Uniform(0.0, 6.0) : 0.0;
+  ctx.input_factor = rng.Uniform(0.7, 1.4);
+  ctx.noise_multiplier = rng.LogNormal(0.0, 0.1);
+  ctx.tail_multiplier = rng.Uniform(0.0, 1.0) < 0.3 ? rng.Uniform(1.0, 3.0) : 1.0;
+  ctx.drift_multiplier = rng.Uniform(0.8, 1.2);
+  return ctx;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// ExecuteLadder must report, at every ladder setting, exactly the bits Execute reports
+// at that cap: every platform x every model of both tasks x every stage limit and
+// kill mode, under random environments of all three contention types, with deadlines
+// at random, exactly at t_full, at t_full +- 1e-12 and at each anytime stage's exit
+// time, for period 0 and periods shorter and longer than the deadline.
+TEST(SimulatorLadderTest, EveryEntryEqualsExecuteAtThatSetting) {
+  Rng rng(20201);
+  int64_t compared = 0;
+  int64_t mismatches = 0;
+  for (int id = 0; id < kNumPlatforms; ++id) {
+    const PlatformSpec& p = GetPlatform(static_cast<PlatformId>(id));
+    const std::vector<DnnModel> models = ModelsOn(p.id);
+    const PlatformSimulator sim(p, models);
+    const std::vector<Watts> ladder = p.PowerSettings();
+    const size_t num_settings = ladder.size();
+    std::vector<Outcome> out(num_settings);
+    for (const ContentionType contention :
+         {ContentionType::kNone, ContentionType::kMemory, ContentionType::kCompute}) {
+      for (int draw = 0; draw < 2; ++draw) {
+        const ExecutionContext ctx = RandomContext(rng, contention);
+        for (int mi = 0; mi < static_cast<int>(models.size()); ++mi) {
+          const DnnModel& m = models[static_cast<size_t>(mi)];
+          const int num_stages = static_cast<int>(m.anytime_stages.size());
+          std::vector<Seconds> deadlines;
+          for (size_t s = 0; s < num_settings; ++s) {
+            const Seconds t_full = sim.TrueLatency(mi, ladder[s], ctx);
+            deadlines.push_back(t_full);
+            deadlines.push_back(t_full + 1e-12);
+            deadlines.push_back(t_full - 1e-12);
+            for (const AnytimeStage& stage : m.anytime_stages) {
+              deadlines.push_back(stage.latency_fraction * t_full);
+            }
+          }
+          for (int r = 0; r < 4; ++r) {
+            const size_t s = static_cast<size_t>(
+                rng.UniformInt(0, static_cast<int>(num_settings) - 1));
+            deadlines.push_back(rng.Uniform(0.2, 2.0) * sim.TrueLatency(mi, ladder[s], ctx));
+          }
+          // Stage limits: none, every stage, and one past the last (clamped).
+          std::vector<int> stage_limits = {-1};
+          for (int k = 0; k <= num_stages && num_stages > 0; ++k) {
+            stage_limits.push_back(k);
+          }
+          for (const int stage_limit : stage_limits) {
+            for (const bool stop : {true, false}) {
+              for (const Seconds deadline : deadlines) {
+                for (const double period_factor : {0.0, 0.6, 1.7}) {
+                  ExecRequest req;
+                  req.model_index = mi;
+                  req.deadline = deadline;
+                  req.period = period_factor * deadline;
+                  req.max_anytime_stage = stage_limit;
+                  req.stop_at_deadline = stop;
+                  // The ladder ignores the request's cap.
+                  req.power_cap = rng.Uniform(0.0, 2.0) * p.cap_max;
+                  sim.ExecuteLadder(req, ctx, out);
+                  for (size_t s = 0; s < num_settings; ++s) {
+                    req.power_cap = ladder[s];
+                    const Measurement want = sim.Execute(req, ctx);
+                    const Outcome& got = out[s];
+                    ++compared;
+                    if (!SameBits(got.latency, want.latency) ||
+                        !SameBits(got.energy, want.energy) ||
+                        !SameBits(got.accuracy, want.accuracy) ||
+                        got.deadline_met != want.deadline_met) {
+                      if (++mismatches <= 5) {
+                        ADD_FAILURE() << p.name << " " << m.name << " stage " << stage_limit
+                                      << " stop " << stop << " deadline " << deadline
+                                      << " period x" << period_factor << " setting " << s
+                                      << ": latency " << got.latency << " vs "
+                                      << want.latency << ", energy " << got.energy
+                                      << " vs " << want.energy << ", accuracy "
+                                      << got.accuracy << " vs " << want.accuracy
+                                      << ", met " << got.deadline_met << " vs "
+                                      << want.deadline_met;
+                      }
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << compared;
+  EXPECT_GT(compared, 10000000);
+}
+
+// Eq. 3 at its tolerance edge: a traditional network meets a deadline d exactly when
+// t_full <= d + 1e-12.  For every platform x traditional model x setting, the
+// smallest d that passes must deliver the model's accuracy and the next double down
+// must not, in Execute and in the ladder alike.
+TEST(SimulatorLadderTest, TraditionalDeadlineToleranceIsInclusive) {
+  constexpr double kTol = 1e-12;
+  Rng rng(77);
+  int exact_edges = 0;
+  for (int id = 0; id < kNumPlatforms; ++id) {
+    const PlatformSpec& p = GetPlatform(static_cast<PlatformId>(id));
+    const std::vector<DnnModel> models = ModelsOn(p.id);
+    const PlatformSimulator sim(p, models);
+    const std::vector<Watts> ladder = p.PowerSettings();
+    std::vector<Outcome> out(ladder.size());
+    const ExecutionContext ctx = RandomContext(rng, ContentionType::kMemory);
+    for (int mi = 0; mi < static_cast<int>(models.size()); ++mi) {
+      const DnnModel& m = models[static_cast<size_t>(mi)];
+      if (m.is_anytime()) {
+        continue;
+      }
+      for (size_t s = 0; s < ladder.size(); ++s) {
+        const Seconds t_full = sim.TrueLatency(mi, ladder[s], ctx);
+        Seconds edge = t_full - kTol;
+        while (edge + kTol < t_full) {
+          edge = std::nextafter(edge, 1.0);
+        }
+        while (std::nextafter(edge, 0.0) + kTol >= t_full) {
+          edge = std::nextafter(edge, 0.0);
+        }
+        exact_edges += edge + kTol == t_full ? 1 : 0;
+        for (const bool stop : {true, false}) {
+          ExecRequest req;
+          req.model_index = mi;
+          req.power_cap = ladder[s];
+          req.stop_at_deadline = stop;
+          req.deadline = edge;
+          sim.ExecuteLadder(req, ctx, out);
+          const Measurement met = sim.Execute(req, ctx);
+          EXPECT_TRUE(met.deadline_met && out[s].deadline_met) << p.name << " " << m.name;
+          EXPECT_EQ(met.accuracy, m.accuracy);
+          EXPECT_EQ(out[s].accuracy, m.accuracy);
+          req.deadline = std::nextafter(edge, 0.0);
+          sim.ExecuteLadder(req, ctx, out);
+          const Measurement missed = sim.Execute(req, ctx);
+          EXPECT_FALSE(missed.deadline_met || out[s].deadline_met) << p.name << " " << m.name;
+          EXPECT_EQ(out[s].accuracy, TaskRandomGuessAccuracy(m.task));
+          EXPECT_EQ(out[s].latency, stop ? req.deadline : t_full);
+        }
+      }
+    }
+  }
+  // Most edges land exactly on t_full, where a strict comparison would flip them.
+  EXPECT_GT(exact_edges, 1000);
+}
+
+// The ladder keeps Execute's checks and adds one: `out` must have one entry per setting.
+TEST(SimulatorLadderDeathTest, RejectsAWrongSizeSpanABadModelAndAZeroDeadline) {
+  const std::vector<DnnModel> models =
+      BuildEvaluationSet(TaskId::kImageClassification, DnnSetChoice::kBoth);
+  const PlatformSimulator sim(GetPlatform(PlatformId::kCpu1), models);
+  const size_t num_settings = GetPlatform(PlatformId::kCpu1).PowerSettings().size();
+  const ExecutionContext ctx;
+  ExecRequest req;
+  req.deadline = 0.05;
+  std::vector<Outcome> out(num_settings + 1);
+  EXPECT_DEATH(sim.ExecuteLadder(req, ctx, std::span<Outcome>(out).first(num_settings - 1)),
+               "out.size\\(\\) == caps_.size\\(\\)");
+  EXPECT_DEATH(sim.ExecuteLadder(req, ctx, out), "out.size\\(\\) == caps_.size\\(\\)");
+  std::span<Outcome> exact = std::span<Outcome>(out).first(num_settings);
+  req.model_index = static_cast<int>(models.size());
+  EXPECT_DEATH(sim.ExecuteLadder(req, ctx, exact), "index < ");
+  req.model_index = 0;
+  req.deadline = 0.0;
+  EXPECT_DEATH(sim.ExecuteLadder(req, ctx, exact), "deadline > 0.0");
 }
 
 // The Fig. 3 shape: periodic-input energy across the cap range has its minimum at the
