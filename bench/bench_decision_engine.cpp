@@ -2,11 +2,14 @@
 // ConfigSpace lookups + exact erf-based estimates, exactly what AlertScheduler::Decide
 // inlined before the engine existed) vs. the SoA scalar engine vs. the vectorized
 // kernel, plus the fused SelectBest, across config-space sizes.  The sigma0 cases score
-// ALERT*'s mean-only belief (xi.stddev == 0), whose row pass is step functions only.
+// ALERT*'s mean-only belief (xi.stddev == 0), whose row pass is step functions only,
+// once on the scalar row pass and once on the vector kernel.
 //
 // Config-space size is scaled by replicating the evaluation candidate set: factor 1 is
-// the paper's CPU1 space (110 configurations), factor 16 is 1760.  Derived metrics
-// (ratios; machine-stable) feed the perf-trajectory gate — see bench/trajectory/.
+// the paper's CPU1 space (110 configurations), factor 16 is 1760; the GPU space (350
+// configurations, 35 powers) shapes one more SelectBest case, whose fused stream
+// splits the anytime candidates across chunks.  Derived metrics (ratios;
+// machine-stable) feed the perf-trajectory gate — see bench/trajectory/.
 //
 // The oracle cases time the clairvoyant Oracle's per-input search on the CPU1 (110
 // configurations) and GPU (350) spaces: OracleScheduler::Decide, one power-ladder
@@ -47,12 +50,16 @@ std::vector<DnnModel> ReplicatedEvaluationSet(int factor) {
 }
 
 struct Fixture {
-  explicit Fixture(int factor)
+  // The deadline is the CPU1 80 ms, scaled to the platform's base deadline.
+  explicit Fixture(int factor, PlatformId platform = PlatformId::kCpu1)
       : models(ReplicatedEvaluationSet(factor)),
-        sim(GetPlatform(PlatformId::kCpu1), models), space(sim), engine(space) {
+        sim(GetPlatform(platform), models), space(sim), engine(space) {
+    const Seconds deadline =
+        0.08 * BaseDeadline(TaskId::kImageClassification, platform) /
+        BaseDeadline(TaskId::kImageClassification, PlatformId::kCpu1);
     in.xi = XiBelief{1.15, 0.2};
-    in.deadline = 0.08;
-    in.period = 0.08;
+    in.deadline = deadline;
+    in.period = deadline;
     in.use_idle_ratio = true;
     in.idle_ratio = 0.22;
   }
@@ -259,8 +266,8 @@ int Main(int argc, char** argv) {
   const double select_scalar_1760 =
       RunSelectBest(h, large, "select_best_scalar_1760", large.in);
 
-  // ALERT*: the same belief mean with no variance.  The sigma == 0 row pass never
-  // takes the vector kernel, so these run once, beside the scalar cases.
+  // ALERT*: the same belief mean with no variance, on the scalar row pass here and on
+  // the vector kernel below.
   DecisionInputs sigma0 = small.in;
   sigma0.xi.stddev = 0.0;
   const double sigma0_110 = RunScoreAll(h, small, "score_all_sigma0_110", sigma0);
@@ -288,6 +295,14 @@ int Main(int argc, char** argv) {
       RunSelectBest(h, small, "select_best_simd_110", small.in);
   const double select_simd_1760 =
       RunSelectBest(h, large, "select_best_simd_1760", large.in);
+  RunScoreAll(h, small, "score_all_sigma0_simd_110", sigma0);
+  RunScoreAll(h, large, "score_all_sigma0_simd_1760", sigma0);
+  RunSelectBest(h, small, "select_best_sigma0_simd_110", sigma0);
+  const double select_sigma0_simd_1760 =
+      RunSelectBest(h, large, "select_best_sigma0_simd_1760", sigma0);
+  Fixture gpu(1, PlatformId::kGpu);  // 350 configurations
+  h.Context("configs_gpu", static_cast<double>(gpu.space.num_configurations()));
+  RunSelectBest(h, gpu, "select_best_simd_350", gpu.in);
 
   // Machine-stable ratios for the trajectory gate.
   h.Derive("engine_vs_naive_110", naive_110 / scalar_110);
@@ -305,6 +320,9 @@ int Main(int argc, char** argv) {
     h.Derive("score_all_simd_speedup_1760", scalar_1760 / simd_1760);
     h.Derive("select_best_simd_speedup_110", select_scalar_110 / select_simd_110);
     h.Derive("select_best_simd_speedup_1760", select_scalar_1760 / select_simd_1760);
+    // ALERT*'s decision: the scalar sigma == 0 row pass over the vector one.
+    h.Derive("select_best_sigma0_simd_speedup_1760",
+             select_sigma0_1760 / select_sigma0_simd_1760);
   }
   return h.Finish();
 }

@@ -3,7 +3,9 @@
 #   2. the monolithic path (K=1) produces mono.csv;
 #   3. a 2-shard round-robin run produces s0/s1.results, merged into merged_rr.csv;
 #   4. a 2-shard cost-weighted run produces c0/c1.results, merged into merged_cw.csv;
-#   5. both merged CSVs must be byte-identical to mono.csv.
+#   5. both merged CSVs must be byte-identical to mono.csv;
+#   6. a spec whose cell mode has no valid goals (min-latency) is refused with a
+#      diagnostic and a non-zero exit, not an abort.
 # Invoked with -DSWEEP_SHARD=... -DSWEEP_MERGE=... -DWORK_DIR=...
 foreach(var SWEEP_SHARD SWEEP_MERGE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -53,5 +55,21 @@ endforeach()
 run_step(${SWEEP_MERGE} --spec=spec.txt --out=merged_k4.csv k4_3.results
          k4_0.results k4_2.results k4_1.results)
 compare_files(mono.csv merged_k4.csv)
+
+# The Table 3 grid gives min-latency goals no accuracy goal, so a mode=2 cell is a
+# bad spec: sweep_shard must name the mode and exit 1, not die on an ALERT_CHECK.
+file(READ ${WORK_DIR}/spec.txt spec_text)
+string(REPLACE "mode=0" "mode=2" latency_spec "${spec_text}")
+file(WRITE ${WORK_DIR}/latency_spec.txt "${latency_spec}")
+execute_process(COMMAND ${SWEEP_SHARD} --spec=latency_spec.txt --shards=1 --shard=0
+                        --out=latency.results
+                WORKING_DIRECTORY ${WORK_DIR} RESULT_VARIABLE rc
+                ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "sweep_e2e: a mode=2 spec exited '${rc}', want 1: ${err}")
+endif()
+if(NOT err MATCHES "MinimizeLatency")
+  message(FATAL_ERROR "sweep_e2e: a mode=2 diagnostic does not name the mode: ${err}")
+endif()
 
 message(STATUS "sweep_e2e: merged shard CSVs byte-identical to the monolithic sweep")

@@ -46,6 +46,8 @@ inline VecD Sub(VecD a, VecD b) { return {_mm256_sub_pd(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
 inline VecD Min(VecD a, VecD b) { return {_mm256_min_pd(a.v, b.v)}; }
 inline VecD Max(VecD a, VecD b) { return {_mm256_max_pd(a.v, b.v)}; }
+// Ordered compares: false in a NaN lane, like the scalar `<` / `<=` / `>=`.
+inline VecM CmpLt(VecD a, VecD b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)}; }
 inline VecM CmpLe(VecD a, VecD b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)}; }
 inline VecM CmpGe(VecD a, VecD b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ)}; }
 // mask ? a : b, per lane.
@@ -98,6 +100,7 @@ inline VecD Sub(VecD a, VecD b) { return {vsubq_f64(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {vmulq_f64(a.v, b.v)}; }
 inline VecD Min(VecD a, VecD b) { return {vminq_f64(a.v, b.v)}; }
 inline VecD Max(VecD a, VecD b) { return {vmaxq_f64(a.v, b.v)}; }
+inline VecM CmpLt(VecD a, VecD b) { return {vcltq_f64(a.v, b.v)}; }
 inline VecM CmpLe(VecD a, VecD b) { return {vcleq_f64(a.v, b.v)}; }
 inline VecM CmpGe(VecD a, VecD b) { return {vcgeq_f64(a.v, b.v)}; }
 inline VecD Select(VecM mask, VecD a, VecD b) {

@@ -87,6 +87,8 @@ DecisionEngine::DecisionEngine(const ConfigSpace& space)
     if (c.stage_limit >= 0) {
       const int last = std::min(c.stage_limit,
                                 static_cast<int>(model.anytime_stages.size()) - 1);
+      // The vector kernel caches one model's stage CDFs on the stack.
+      ALERT_CHECK(last < internal::kMaxLadderStages);
       stage_offset_[static_cast<size_t>(ci)] =
           model_ladder_offset[static_cast<size_t>(c.model_index)];
       stage_count_[static_cast<size_t>(ci)] = last + 1;
@@ -113,6 +115,7 @@ DecisionEngine::DecisionEngine(const ConfigSpace& space)
         static_cast<size_t>(num_candidates_) * static_cast<size_t>(padded_stride_);
     padded_run_profile_.resize(padded);
     padded_inv_run_profile_.resize(padded);
+    padded_full_profile_.resize(padded);
     padded_inv_full_profile_.resize(padded);
     padded_inference_power_.resize(padded);
     for (int ci = 0; ci < num_candidates_; ++ci) {
@@ -124,6 +127,7 @@ DecisionEngine::DecisionEngine(const ConfigSpace& space)
             static_cast<size_t>(pi);
         padded_run_profile_[dst] = run_profile_[src];
         padded_inv_run_profile_[dst] = inv_run_profile_[src];
+        padded_full_profile_[dst] = full_profile_[src];
         padded_inv_full_profile_[dst] = inv_full_profile_[src];
         padded_inference_power_[dst] = inference_power_[src];
       }
@@ -352,12 +356,14 @@ internal::ScoreTables DecisionEngine::KernelTables() const {
   internal::ScoreTables t;
   t.run_profile = padded_run_profile_.data();
   t.inv_run_profile = padded_inv_run_profile_.data();
+  t.full_profile = padded_full_profile_.data();
   t.inv_full_profile = padded_inv_full_profile_.data();
   t.inference_power = padded_inference_power_.data();
   t.final_accuracy = final_accuracy_.data();
   t.q_fail = q_fail_.data();
   t.stage_offset = stage_offset_.data();
   t.stage_count = stage_count_.data();
+  t.stage_frac = stage_frac_.data();
   t.inv_stage_frac = inv_stage_frac_.data();
   t.stage_accuracy = stage_accuracy_.data();
   t.padded_stride = padded_stride_;
@@ -380,6 +386,16 @@ internal::ScoreParams DecisionEngine::KernelParams(const ScoringContext& ctx) {
 
 void DecisionEngine::ScoreChunk(const ScoringContext& ctx, int ci_begin, int ci_end,
                                 int width, ConfigScore* out, int out_stride) const {
+#if defined(ALERT_SIMD_AVX2) || defined(ALERT_SIMD_NEON)
+  // Only Eq. 12 percentile energy at sigma > 0 stays on the scalar reference
+  // arithmetic; everything else, the sigma == 0 (ALERT*) rows included, takes the
+  // lane-parallel kernel.
+  if (simd_enabled_ && (ctx.in.xi.stddev == 0.0 || !(ctx.in.percentile > 0.0))) {
+    internal::ScoreRowsSimd(KernelTables(), KernelParams(ctx), ci_begin, ci_end,
+                            width, out, out_stride);
+    return;
+  }
+#endif
   // A sigma == 0 (ALERT*) pass is tested once here, not once per entry: its rows
   // are step functions of the mean, scored in one straight-line pass of the shared
   // ScoreEntrySigma0 arithmetic whatever the percentile (Eq. 12 charges the mean run
@@ -394,15 +410,6 @@ void DecisionEngine::ScoreChunk(const ScoringContext& ctx, int ci_begin, int ci_
     }
     return;
   }
-#if defined(ALERT_SIMD_AVX2) || defined(ALERT_SIMD_NEON)
-  // Eq. 12 percentile energy stays on the scalar reference arithmetic; everything
-  // else takes the lane-parallel kernel.
-  if (simd_enabled_ && !(ctx.in.percentile > 0.0)) {
-    internal::ScoreRowsSimd(KernelTables(), KernelParams(ctx), ci_begin, ci_end,
-                            width, out, out_stride);
-    return;
-  }
-#endif
   for (int ci = ci_begin; ci < ci_end; ++ci) {
     ConfigScore* row = out + static_cast<ptrdiff_t>(ci - ci_begin) * out_stride;
     for (int pi = 0; pi < width; ++pi) {
@@ -443,16 +450,17 @@ int DecisionEngine::MaxAllowedPower(Watts power_limit) const {
 namespace {
 
 // Pr_th pre-filter (Eqs. 10/11) plus per-goal feasibility and objective (Eqs. 1/2)
-// of one scored configuration.  Shared by the fused SelectBest stream and the
-// precomputed-table SelectFromScores so the two cannot drift.
+// of one scored configuration, for a goal mode resolved once per selection.
+template <GoalMode kMode>
 inline void ConsiderFeasible(BestConfigTracker& best, const Goals& goals,
                              Joules allowance, int ci, int pi, const ConfigScore& s) {
   if (goals.prob_threshold > 0.0 && s.prob_deadline < goals.prob_threshold) {
     return;
   }
   best.Consider(ci, pi,
-                ScoreOutcome(goals, allowance, s.expected_accuracy, s.expected_energy,
-                             s.expected_latency, /*deadline_ok=*/true));
+                ScoreOutcomeFor<kMode>(goals, allowance, s.expected_accuracy,
+                                       s.expected_energy, s.expected_latency,
+                                       /*deadline_ok=*/true));
 }
 
 // The latency > accuracy > power fallback hierarchy (Section 4), applied when
@@ -498,34 +506,46 @@ class FallbackTracker {
   DecisionEngine::Selection selection_;
 };
 
-// The ALERT selection rule over a precomputed score table (SelectFromScores).
-// `score_at(ci, pi)` must be valid for pi in [0, max_pi].  Feasibility (Eqs. 1/2,
-// plus the optional Pr_th of Eqs. 10/11): the deadline constraint is enforced
-// through the expected-accuracy step function — a config unlikely to finish in time
-// cannot reach the accuracy goal, and in accuracy-maximization mode it scores a poor
-// objective.  Identical decision rule to the fused SelectBest by construction (same
-// ConsiderFeasible / FallbackTracker, same iteration order).
-template <typename ScoreAt>
-DecisionEngine::Selection SelectScored(const Goals& goals, Joules allowance,
-                                       int num_candidates, int max_pi,
-                                       const ScoreAt& score_at) {
-  BestConfigTracker best(goals.mode, 1e-12);
+// The ALERT selection rule — the one rule behind both the fused SelectBest stream
+// and SelectFromScores over a precomputed table.  `rows_at(ci0, rows)` yields the
+// scores of candidates [ci0, ci0 + rows): row r at result + r * stride, powers
+// [0, width).  Feasibility (Eqs. 1/2, plus the optional Pr_th of Eqs. 10/11): the
+// deadline constraint is enforced through the expected-accuracy step function — a
+// config unlikely to finish in time cannot reach the accuracy goal, and in
+// accuracy-maximization mode it scores a poor objective.  When nothing is feasible, a
+// second pass applies the fallback hierarchy under the completion-probability floor
+// learned in the first; for the fused stream that rescores, and scoring is
+// deterministic, so the rescore is bit-identical.
+template <GoalMode kMode, typename RowsAt>
+DecisionEngine::Selection SelectRows(const Goals& goals, Joules allowance,
+                                     int num_candidates, int width, int rows_per_chunk,
+                                     int stride, const RowsAt& rows_at) {
+  BestConfigTracker best(kMode, 1e-12);
   double max_pr = 0.0;
-  for (int ci = 0; ci < num_candidates; ++ci) {
-    for (int pi = 0; pi <= max_pi; ++pi) {
-      const ConfigScore& score = score_at(ci, pi);
-      max_pr = std::max(max_pr, score.prob_deadline);
-      ConsiderFeasible(best, goals, allowance, ci, pi, score);
+  for (int ci0 = 0; ci0 < num_candidates; ci0 += rows_per_chunk) {
+    const int rows = std::min(rows_per_chunk, num_candidates - ci0);
+    const ConfigScore* chunk = rows_at(ci0, rows);
+    for (int r = 0; r < rows; ++r) {
+      const ConfigScore* row = chunk + static_cast<ptrdiff_t>(r) * stride;
+      for (int pi = 0; pi < width; ++pi) {
+        max_pr = std::max(max_pr, row[pi].prob_deadline);
+        ConsiderFeasible<kMode>(best, goals, allowance, ci0 + r, pi, row[pi]);
+      }
     }
   }
   if (best.found()) {
     return DecisionEngine::Selection{best.candidate_index(), best.power_index(), true};
   }
 
-  FallbackTracker fallback(goals.mode, max_pr - 0.02);
-  for (int ci = 0; ci < num_candidates; ++ci) {
-    for (int pi = 0; pi <= max_pi; ++pi) {
-      fallback.Consider(ci, pi, score_at(ci, pi));
+  FallbackTracker fallback(kMode, max_pr - 0.02);
+  for (int ci0 = 0; ci0 < num_candidates; ci0 += rows_per_chunk) {
+    const int rows = std::min(rows_per_chunk, num_candidates - ci0);
+    const ConfigScore* chunk = rows_at(ci0, rows);
+    for (int r = 0; r < rows; ++r) {
+      const ConfigScore* row = chunk + static_cast<ptrdiff_t>(r) * stride;
+      for (int pi = 0; pi < width; ++pi) {
+        fallback.Consider(ci0 + r, pi, row[pi]);
+      }
     }
   }
   ALERT_CHECK(fallback.found());
@@ -540,50 +560,23 @@ DecisionEngine::Selection DecisionEngine::SelectBest(
   const ScoringContext ctx = MakeContext(in);
   // Externally capped (shared package budget): only power indices up to the hoisted
   // bound are scored at all.
-  const int max_pi = MaxAllowedPower(power_limit);
-  const int width = max_pi + 1;
+  const int width = MaxAllowedPower(power_limit) + 1;
   const int rows_per_chunk = std::max(1, kSelectChunkEntries / width);
   scratch.chunk.resize(static_cast<size_t>(rows_per_chunk) *
                        static_cast<size_t>(width));
   ConfigScore* chunk = scratch.chunk.data();
 
   // Fused score+select: each cache-resident chunk of rows is scored (vector kernel
-  // when active) and immediately folded into the feasibility tracker, so the full
-  // score table never exists.  max_pr is collected in the same sweep for the
-  // fallback floor.
-  BestConfigTracker best(goals.mode, 1e-12);
-  double max_pr = 0.0;
-  for (int ci0 = 0; ci0 < num_candidates_; ci0 += rows_per_chunk) {
-    const int rows = std::min(rows_per_chunk, num_candidates_ - ci0);
+  // when active) and immediately folded into the trackers, so the full score table
+  // never exists.
+  const auto score_rows = [this, &ctx, width, chunk](int ci0, int rows) {
     ScoreChunk(ctx, ci0, ci0 + rows, width, chunk, width);
-    for (int r = 0; r < rows; ++r) {
-      const ConfigScore* row = chunk + static_cast<ptrdiff_t>(r) * width;
-      for (int pi = 0; pi < width; ++pi) {
-        max_pr = std::max(max_pr, row[pi].prob_deadline);
-        ConsiderFeasible(best, goals, allowance, ci0 + r, pi, row[pi]);
-      }
-    }
-  }
-  if (best.found()) {
-    return Selection{best.candidate_index(), best.power_index(), true};
-  }
-
-  // Nothing feasible: stream the chunks once more under the now-known completion-
-  // probability floor.  Scoring is deterministic, so the rescore is bit-identical
-  // and the pick matches the historical materialize-then-scan implementation.
-  FallbackTracker fallback(goals.mode, max_pr - 0.02);
-  for (int ci0 = 0; ci0 < num_candidates_; ci0 += rows_per_chunk) {
-    const int rows = std::min(rows_per_chunk, num_candidates_ - ci0);
-    ScoreChunk(ctx, ci0, ci0 + rows, width, chunk, width);
-    for (int r = 0; r < rows; ++r) {
-      const ConfigScore* row = chunk + static_cast<ptrdiff_t>(r) * width;
-      for (int pi = 0; pi < width; ++pi) {
-        fallback.Consider(ci0 + r, pi, row[pi]);
-      }
-    }
-  }
-  ALERT_CHECK(fallback.found());
-  return fallback.selection();
+    return static_cast<const ConfigScore*>(chunk);
+  };
+  return WithGoalMode(goals.mode, [&]<GoalMode kMode>() {
+    return SelectRows<kMode>(goals, allowance, num_candidates_, width, rows_per_chunk,
+                             width, score_rows);
+  });
 }
 
 namespace {
@@ -629,11 +622,14 @@ DecisionEngine::Selection DecisionEngine::SelectFromScores(
     const Goals& goals, Joules allowance, std::span<const ConfigScore> scores,
     Watts power_limit) const {
   ALERT_CHECK(static_cast<int>(scores.size()) == num_entries());
-  const int num_powers = num_powers_;
-  return SelectScored(goals, allowance, num_candidates_, MaxAllowedPower(power_limit),
-                      [scores, num_powers](int ci, int pi) -> const ConfigScore& {
-                        return scores[static_cast<size_t>(ci * num_powers + pi)];
-                      });
+  const int width = MaxAllowedPower(power_limit) + 1;
+  const auto table_rows = [scores, this](int ci0, int /*rows*/) {
+    return scores.data() + static_cast<ptrdiff_t>(ci0) * num_powers_;
+  };
+  return WithGoalMode(goals.mode, [&]<GoalMode kMode>() {
+    return SelectRows<kMode>(goals, allowance, num_candidates_, width, num_candidates_,
+                             num_powers_, table_rows);
+  });
 }
 
 void DecisionEngine::SelectBestBatch(std::span<const DecisionInputs> inputs,

@@ -14,7 +14,7 @@
 // id `entry_index(ci, pi) = ci * num_powers() + pi`.  The engine holds a pointer to
 // `space`, which must outlive it; the profile snapshot is taken at construction, so a
 // ConfigSpace mutated afterwards (none currently are) would need a fresh engine.
-// The SoA arrays are 64-byte aligned, and the four per-entry profile tables keep a
+// The SoA arrays are 64-byte aligned, and the five per-entry profile tables keep a
 // vector-padded copy (rows padded to the compiled lane width) for the SIMD kernel.
 //
 // Scoring: `Score` / `ScoreAll` evaluate Eqs. 6/7/9/12/13 for one / all configurations
@@ -28,16 +28,17 @@
 // arithmetic (no table lookups), bit-identical to the per-entry reference.
 //
 // Vector layer: when the build compiled a SIMD backend (AVX2/NEON — see the dispatch
-// contract in src/common/simd.h) and the running machine supports it, the
-// non-degenerate scoring pass runs through the lane-parallel kernel in
-// decision_engine_simd.cc; `simd_active()` reports the live mode and
-// `set_simd_enabled(false)` forces the scalar reference path (equivalence tests,
-// benchmarks, `ALERT_SIMD=off` escape hatches at build and run time).  The kernel
-// performs the identical IEEE-754 operations in the identical order as the scalar
-// fast path — no FMA contraction, same memoized table — so vector and scalar scores
-// agree to the last bit on every tested platform; the scalar path remains the
-// reference implementation, and the degenerate branches always run scalar: the
-// sigma == 0 row pass and the Eq. 12 percentile energy.  Equivalence is enforced by
+// contract in src/common/simd.h) and the running machine supports it, scoring runs
+// through the lane-parallel kernel in decision_engine_simd.cc, the sigma == 0 row
+// pass included; `simd_active()` reports the live mode and `set_simd_enabled(false)`
+// forces the scalar reference path (equivalence tests, benchmarks, `ALERT_SIMD=off`
+// escape hatches at build and run time).  The kernel performs the identical IEEE-754
+// operations in the identical order as the scalar arithmetic — no FMA contraction,
+// same memoized table, same comparisons — so vector and scalar scores agree to the
+// last bit on every tested platform; the scalar path remains the reference
+// implementation, and only Eq. 12 percentile energy (at sigma > 0) runs scalar.  The
+// kernel computes each anytime model's stage CDFs once per lane group and shares
+// them across the model's stage-limited candidates.  Equivalence is enforced by
 // tests/core/simd_equivalence_test.cc.
 //
 // Selection: `SelectBest` implements the full ALERT decision rule — the Pr_th
@@ -82,6 +83,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/simd.h"
 #include "src/core/config_space.h"
 #include "src/core/estimates.h"
@@ -130,30 +132,57 @@ struct GoalScore {
   double objective = 0.0;  // minimized, or maximized in kMaximizeAccuracy mode
   double tiebreak = 0.0;   // minimized among equal objectives
 };
+// Calls `f.template operator()<kMode>()` with `mode` as a compile-time constant.  The
+// one goal-mode dispatcher: ScoreOutcome and ALERT's selection loops all resolve the
+// mode through it, once per call.  A mode outside the enum fails Goals::Valid(), which
+// every entry point checks, so reaching this with one is a caller bug and aborts.
+template <typename F>
+inline auto WithGoalMode(GoalMode mode, const F& f) {
+  switch (mode) {
+    case GoalMode::kMaximizeAccuracy:
+      return f.template operator()<GoalMode::kMaximizeAccuracy>();
+    case GoalMode::kMinimizeLatency:
+      return f.template operator()<GoalMode::kMinimizeLatency>();
+    case GoalMode::kMinimizeEnergy:
+      break;
+  }
+  ALERT_CHECK(mode == GoalMode::kMinimizeEnergy);
+  return f.template operator()<GoalMode::kMinimizeEnergy>();
+}
+
 // Defined here, inline, because it sits in the innermost loop of both deciders:
-// ALERT's per-entry selection and the Oracle's per-setting search.
+// ALERT's per-entry selection and the Oracle's per-setting search.  ScoreOutcomeFor
+// takes the mode as a compile-time constant, for loops that resolve goals.mode once
+// per call; ScoreOutcome is the same rule with the mode read at run time.
+template <GoalMode kMode>
+inline GoalScore ScoreOutcomeFor(const Goals& goals, Joules allowance, double accuracy,
+                                 Joules energy, Seconds latency, bool deadline_ok,
+                                 double slack = 0.0) {
+  GoalScore s;
+  if constexpr (kMode == GoalMode::kMinimizeEnergy) {
+    s.feasible = deadline_ok && accuracy >= goals.accuracy_goal - slack;
+    s.objective = energy;
+    s.tiebreak = -accuracy;
+  } else if constexpr (kMode == GoalMode::kMaximizeAccuracy) {
+    s.feasible = deadline_ok && energy <= allowance + slack;
+    s.objective = accuracy;
+    s.tiebreak = energy;
+  } else {
+    static_assert(kMode == GoalMode::kMinimizeLatency);
+    s.feasible = accuracy >= goals.accuracy_goal - slack && energy <= allowance + slack;
+    s.objective = latency;
+    s.tiebreak = energy;
+  }
+  return s;
+}
+
 inline GoalScore ScoreOutcome(const Goals& goals, Joules allowance, double accuracy,
                               Joules energy, Seconds latency, bool deadline_ok,
                               double slack = 0.0) {
-  GoalScore s;
-  switch (goals.mode) {
-    case GoalMode::kMinimizeEnergy:
-      s.feasible = deadline_ok && accuracy >= goals.accuracy_goal - slack;
-      s.objective = energy;
-      s.tiebreak = -accuracy;
-      break;
-    case GoalMode::kMaximizeAccuracy:
-      s.feasible = deadline_ok && energy <= allowance + slack;
-      s.objective = accuracy;
-      s.tiebreak = energy;
-      break;
-    case GoalMode::kMinimizeLatency:
-      s.feasible = accuracy >= goals.accuracy_goal - slack && energy <= allowance + slack;
-      s.objective = latency;
-      s.tiebreak = energy;
-      break;
-  }
-  return s;
+  return WithGoalMode(goals.mode, [&]<GoalMode kMode>() {
+    return ScoreOutcomeFor<kMode>(goals, allowance, accuracy, energy, latency,
+                                  deadline_ok, slack);
+  });
 }
 
 // Lower-is-better scalar objective of a whole-run result for a goal mode
@@ -220,8 +249,8 @@ class DecisionEngine {
     return candidate_index * num_powers_ + power_index;
   }
 
-  // True when the non-degenerate scoring pass runs through the compiled vector
-  // backend (build compiled it, machine supports it, nobody forced scalar).
+  // True when scoring runs through the compiled vector backend (build compiled it,
+  // machine supports it, nobody forced scalar).
   bool simd_active() const { return simd_enabled_; }
   // Force the scalar reference path (equivalence tests, scalar-vs-SIMD benches).
   // Enabling only sticks when a backend was compiled AND the machine supports it.
@@ -305,9 +334,10 @@ class DecisionEngine {
   // the mean.  Shared by ScoreEntryReference and ScoreChunk's sigma == 0 row pass.
   ConfigScore ScoreEntrySigma0(size_t e, size_t c, const DecisionInputs& in) const;
   // Scores the rectangle [ci_begin, ci_end) x powers [0, width) into
-  // out[(ci - ci_begin) * out_stride + pi] — the sigma == 0 row pass for a mean-only
-  // belief, the vector kernel when active and the pass is non-degenerate, else the
-  // scalar loop.  The single scoring funnel of ScoreAll / ScoreBatch / SelectBest.
+  // out[(ci - ci_begin) * out_stride + pi] — the vector kernel when active (unless
+  // the pass charges an Eq. 12 percentile at sigma > 0), else the scalar sigma == 0
+  // row pass or per-entry loop.  The single scoring funnel of ScoreAll / ScoreBatch /
+  // SelectBest.
   void ScoreChunk(const ScoringContext& ctx, int ci_begin, int ci_end, int width,
                   ConfigScore* out, int out_stride) const;
   // Raw table/parameter views handed to the vector kernel.
@@ -347,6 +377,7 @@ class DecisionEngine {
   // run.  The kernel reads these; the scalar path keeps the exact entry_index layout.
   simd::AlignedVector<double> padded_run_profile_;
   simd::AlignedVector<double> padded_inv_run_profile_;
+  simd::AlignedVector<double> padded_full_profile_;
   simd::AlignedVector<double> padded_inv_full_profile_;
   simd::AlignedVector<double> padded_inference_power_;
   int padded_stride_ = 0;

@@ -99,8 +99,17 @@ serde::Status ValidateSweepSpec(const SweepSpec& spec) {
                             std::string(PlatformName(cell.platform)));
       }
     }
-    const size_t grid_size =
-        BuildConstraintGrid(cell.mode, cell.task, cell.platform).size();
+    const std::vector<Goals> grid =
+        BuildConstraintGrid(cell.mode, cell.task, cell.platform);
+    // Schedulers ALERT_CHECK their goals, so a mode whose grid cannot state a valid
+    // goal (min-latency has no accuracy goal in the Table 3 grid) is refused here.
+    for (const Goals& goals : grid) {
+      if (!goals.Valid()) {
+        return serde::Error("cell mode " + std::string(GoalModeName(cell.mode)) +
+                            " has no valid goals in the constraint grid");
+      }
+    }
+    const size_t grid_size = grid.size();
     for (const int gi : spec.grid_indices) {
       if (gi < 0 || static_cast<size_t>(gi) >= grid_size) {
         return serde::Error("grid index " + std::to_string(gi) + " outside the " +

@@ -92,14 +92,14 @@ namespace {
 
 // What one inference of `m` reports when its full network takes `t_full` (Eq. 3/13,
 // Fig. 3 energy accounting).  The only copy of the outcome rules: Execute applies it
-// at one cap, ExecuteLadder at every setting of the power ladder.
+// at one cap, ExecuteLadder at every setting of the power ladder.  `q_fail` is the
+// task's random-guess accuracy, computed once per call by the caller.
 [[gnu::always_inline]] inline Measurement ExecuteAt(const DnnModel& m,
                                                     const ExecRequest& request,
                                                     Seconds t_full,
                                                     Watts inference_power,
-                                                    Watts idle_power) {
+                                                    Watts idle_power, double q_fail) {
   const Seconds deadline = request.deadline;
-  const double q_fail = TaskRandomGuessAccuracy(m.task);
 
   Measurement out;
   out.deadline = deadline;
@@ -197,7 +197,8 @@ Measurement PlatformSimulator::Execute(const ExecRequest& request,
   const DnnModel& m = model(request.model_index);
   ALERT_CHECK(request.deadline > 0.0);
   return ExecuteAt(m, request, TrueLatency(request.model_index, request.power_cap, ctx),
-                   InferencePower(request.model_index, request.power_cap), IdlePower(ctx));
+                   InferencePower(request.model_index, request.power_cap),
+                   IdlePower(ctx), TaskRandomGuessAccuracy(m.task));
 }
 
 void PlatformSimulator::ExecuteLadder(const ExecRequest& request,
@@ -209,12 +210,14 @@ void PlatformSimulator::ExecuteLadder(const ExecRequest& request,
   const double contention = ContentionFactor(m, ctx);
   const Watts demand = PowerDemand(m, platform_);
   const Watts idle_power = IdlePower(ctx);
+  const double q_fail = TaskRandomGuessAccuracy(m.task);
   const Seconds* nominal =
       nominal_latency_.data() + static_cast<size_t>(request.model_index) * caps_.size();
   for (size_t s = 0; s < caps_.size(); ++s) {
     const Measurement r =
         ExecuteAt(m, request, ApplyContext(nominal[s], contention, ctx),
-                  DrawUnderCap(caps_[s], demand, platform_.base_power), idle_power);
+                  DrawUnderCap(caps_[s], demand, platform_.base_power), idle_power,
+                  q_fail);
     out[s] = Outcome{r.latency, r.energy, r.accuracy, r.deadline_met};
   }
 }

@@ -323,6 +323,27 @@ TEST_F(DecisionEngineTest, PowerLimitExcludesHighCapsButKeepsTheFloor) {
   EXPECT_EQ(sel.power_index, 0);
 }
 
+// A goal mode outside the enum fails Goals::Valid(); the one mode dispatcher that
+// ScoreOutcome and every selection entry point share refuses it the same way.
+using DecisionEngineDeathTest = DecisionEngineTest;
+
+TEST_F(DecisionEngineDeathTest, EveryModeDispatchRefusesAModeOutsideTheEnum) {
+  Goals goals;
+  goals.mode = static_cast<GoalMode>(7);
+  goals.deadline = 0.08;
+  goals.accuracy_goal = 0.9;
+  goals.energy_budget = 1.0;
+  ASSERT_FALSE(goals.Valid());
+  const DecisionInputs in = Inputs(1.0, 0.1);
+  DecisionEngine::SelectScratch scratch;
+  std::vector<ConfigScore> scores(static_cast<size_t>(engine_.num_entries()));
+  engine_.ScoreAll(in, scores);
+  EXPECT_DEATH(ScoreOutcome(goals, 1.0, 0.9, 0.5, 0.05, /*deadline_ok=*/true),
+               "ALERT_CHECK");
+  EXPECT_DEATH(engine_.SelectBest(goals, 1.0, in, 1e9, scratch), "ALERT_CHECK");
+  EXPECT_DEATH(engine_.SelectFromScores(goals, 1.0, scores, 1e9), "ALERT_CHECK");
+}
+
 // --- Batch API (multi-job decision plane) ---
 
 TEST_F(DecisionEngineTest, ScoreBatchMatchesPerJobScoreAllBitForBit) {

@@ -6,12 +6,20 @@
 // assertions here are bit-exact, not approximate: every score byte-identical, every
 // selection identical, over a randomized property sweep of DecisionInputs
 // (degenerate sigma == 0, Eq. 12 percentile, infeasible-static spaces, Pr_th sweeps,
-// all goal modes).  On a build or machine without a vector backend the engine
+// all goal modes), over engine shapes that put the kernel's edges to work: CPU1 and
+// GPU kBoth spaces (the GPU's 35-wide rows make the fused SelectBest split the
+// anytime candidates across chunks), a kAnytimeOnly space, a space with two
+// back-to-back anytime models (the per-model ladder cache must restart at the model
+// boundary), and power limits that cut a row mid-vector.  A selection-rule test
+// also checks every goal mode against a reference written out in the test.  On a
+// build or machine without a vector backend the engine
 // reports simd_active() == false and the comparisons degenerate to scalar-vs-scalar
 // — still meaningful for the fused-vs-materialized SelectBest checks, which gate
 // the streaming rewrite independent of vectorization.
 #include <cstring>
+#include <ostream>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -233,6 +241,317 @@ TEST_F(SimdEquivalenceTest, ScoreBatchBitIdenticalToPerJobScoreAll) {
         << "job " << j;
   }
 }
+
+// ---- Engine shapes -------------------------------------------------------------
+
+struct EngineShape {
+  std::string name;
+  PlatformId platform;
+  DnnSetChoice choice;
+  bool second_anytime_model;  // append a 3-stage anytime model after the zoo's one
+};
+
+void PrintTo(const EngineShape& shape, std::ostream* os) { *os << shape.name; }
+
+std::vector<DnnModel> ShapeModels(const EngineShape& shape) {
+  std::vector<DnnModel> models =
+      BuildEvaluationSet(TaskId::kImageClassification, shape.choice);
+  if (shape.second_anytime_model) {
+    DnnModel other = models.back();  // the zoo's anytime model ends every set
+    other.name = "shallow_nest_anytime";
+    for (Seconds& latency : other.ref_latency) {
+      latency *= 1.7;
+    }
+    other.anytime_stages = {{0.31, 0.71}, {0.64, 0.86}, {1.00, 0.93}};
+    models.push_back(other);
+  }
+  return models;
+}
+
+class SimdShapeTest : public ::testing::TestWithParam<EngineShape> {
+ protected:
+  SimdShapeTest()
+      : models_(ShapeModels(GetParam())),
+        sim_(GetPlatform(GetParam().platform), models_), space_(sim_),
+        engine_(space_) {}
+
+  // The fastest full-network latency of the space: deadlines are drawn around it.
+  Seconds BaseLatency() const {
+    Seconds base = space_.ProfileLatency(0, space_.num_powers() - 1);
+    for (int m = 1; m < space_.num_models(); ++m) {
+      base = std::min(base, space_.ProfileLatency(m, space_.num_powers() - 1));
+    }
+    return base;
+  }
+
+  // PropertyInputs with deadlines rescaled to this space (0.2x to ~20x its fastest
+  // network), so every shape sees feasible, tight and hopeless deadlines.
+  std::vector<DecisionInputs> Inputs(int count) const {
+    std::vector<DecisionInputs> inputs = PropertyInputs(count);
+    const double scale = BaseLatency() / 0.025;
+    for (DecisionInputs& in : inputs) {
+      in.deadline *= scale;
+      in.period *= scale;
+    }
+    return inputs;
+  }
+
+  // The mean-only (ALERT*) slice: every input of Inputs() with sigma forced to 0.
+  std::vector<DecisionInputs> SigmaZeroInputs(int count) const {
+    std::vector<DecisionInputs> inputs = Inputs(count);
+    for (DecisionInputs& in : inputs) {
+      in.xi.stddev = 0.0;
+    }
+    return inputs;
+  }
+
+  // Power limits giving row widths of 1, 3, 5, about half and all powers: the middle
+  // ones end a row inside a vector on both backends.
+  std::vector<Watts> Limits() const {
+    const int n = space_.num_powers();
+    return {1e9, space_.cap(n / 2), space_.cap(std::min(4, n - 1)),
+            space_.cap(std::min(2, n - 1)), 0.0};
+  }
+
+  Goals GoalsFor(GoalMode mode, const DecisionInputs& in, double pr_th) const {
+    Goals goals;
+    goals.mode = mode;
+    goals.deadline = in.deadline;
+    goals.accuracy_goal = 0.9;
+    goals.energy_budget = 0.6 * space_.cap(space_.num_powers() - 1) * in.period;
+    goals.prob_threshold = pr_th;
+    return goals;
+  }
+
+  std::vector<ConfigScore> ScoreAllWith(bool simd_on, const DecisionInputs& in) {
+    std::vector<ConfigScore> scores(static_cast<size_t>(engine_.num_entries()));
+    engine_.set_simd_enabled(simd_on);
+    engine_.ScoreAll(in, scores);
+    engine_.set_simd_enabled(true);
+    return scores;
+  }
+
+  void ExpectSamePick(const DecisionEngine::Selection& want,
+                      const DecisionEngine::Selection& got) {
+    EXPECT_EQ(want.candidate_index, got.candidate_index) << GetParam().name;
+    EXPECT_EQ(want.power_index, got.power_index) << GetParam().name;
+    EXPECT_EQ(want.feasible, got.feasible) << GetParam().name;
+  }
+
+  void ExpectSameBytes(const std::vector<ConfigScore>& a,
+                       const std::vector<ConfigScore>& b, const std::string& what) {
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(ConfigScore)))
+        << GetParam().name << ": " << what;
+  }
+
+  std::vector<DnnModel> models_;
+  PlatformSimulator sim_;
+  ConfigSpace space_;
+  DecisionEngine engine_;
+};
+
+constexpr GoalMode kAllModes[] = {GoalMode::kMinimizeEnergy,
+                                  GoalMode::kMaximizeAccuracy,
+                                  GoalMode::kMinimizeLatency};
+
+TEST_P(SimdShapeTest, ScoreAllBitIdenticalAcrossPropertySweep) {
+  for (const DecisionInputs& in : Inputs(120)) {
+    ExpectSameBytes(ScoreAllWith(false, in), ScoreAllWith(true, in), "ScoreAll");
+  }
+}
+
+TEST_P(SimdShapeTest, SigmaZeroSliceIsBitIdenticalThroughEveryEntryPoint) {
+  const std::vector<DecisionInputs> inputs = SigmaZeroInputs(24);
+  const size_t entries = static_cast<size_t>(engine_.num_entries());
+
+  // ScoreBatch, scalar and vector, over the whole slice.
+  std::vector<ConfigScore> batch_scalar(inputs.size() * entries);
+  std::vector<ConfigScore> batch_simd(inputs.size() * entries);
+  engine_.set_simd_enabled(false);
+  engine_.ScoreBatch(inputs, batch_scalar);
+  engine_.set_simd_enabled(true);
+  engine_.ScoreBatch(inputs, batch_simd);
+  ExpectSameBytes(batch_scalar, batch_simd, "ScoreBatch");
+
+  DecisionEngine::SelectScratch scratch;
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    const DecisionInputs& in = inputs[j];
+    const std::vector<ConfigScore> scalar = ScoreAllWith(false, in);
+    ExpectSameBytes(scalar, ScoreAllWith(true, in), "ScoreAll");
+    ASSERT_EQ(0, std::memcmp(scalar.data(), batch_simd.data() + j * entries,
+                             entries * sizeof(ConfigScore)));
+    for (const GoalMode mode : kAllModes) {
+      for (const double pr_th : {0.0, 0.5}) {
+        for (const Watts limit : Limits()) {
+          const Goals goals = GoalsFor(mode, in, pr_th);
+          const Joules allowance = goals.energy_budget;
+          engine_.set_simd_enabled(false);
+          const auto scalar_sel =
+              engine_.SelectBest(goals, allowance, in, limit, scratch);
+          engine_.set_simd_enabled(true);
+          ExpectSamePick(scalar_sel,
+                         engine_.SelectBest(goals, allowance, in, limit, scratch));
+          ExpectSamePick(scalar_sel,
+                         engine_.SelectFromScores(goals, allowance, scalar, limit));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SimdShapeTest, SigmaZeroDeadlineOnAnEntryBoundaryIsBitExact) {
+  // At sigma == 0 a deadline equal to an entry's mean run time completes (the scalar
+  // step is `deadline < mean_t ? 0 : 1`); the same for a stage's mean end time.  The
+  // vector step must agree at exact equality.
+  const double mean = 1.3;
+  std::vector<Seconds> deadlines;
+  for (int ci = 0; ci < space_.num_candidates(); ci += 2) {
+    const Candidate& c = space_.candidate(ci);
+    const int pi = (ci * 7) % space_.num_powers();
+    deadlines.push_back(mean * space_.CandidateProfileLatency(c, pi));
+    const DnnModel& model = space_.model(c.model_index);
+    if (model.is_anytime()) {
+      const double frac = model.anytime_stages.front().latency_fraction;
+      deadlines.push_back(mean * (frac * space_.ProfileLatency(c.model_index, pi)));
+    }
+  }
+  for (const Seconds deadline : deadlines) {
+    for (const bool stop : {true, false}) {
+      DecisionInputs in;
+      in.xi = XiBelief{mean, 0.0};
+      in.deadline = deadline;
+      in.period = deadline;  // idle time exactly 0 on the boundary entry
+      in.use_idle_ratio = true;
+      in.idle_ratio = 0.2;
+      in.stop_at_cutoff = stop;
+      const std::vector<ConfigScore> scalar = ScoreAllWith(false, in);
+      ExpectSameBytes(scalar, ScoreAllWith(true, in), "boundary ScoreAll");
+      const auto on_time = std::count_if(scalar.begin(), scalar.end(), [&](auto& s) {
+        return s.prob_deadline == 1.0 && s.expected_latency == deadline;
+      });
+      EXPECT_GT(on_time, 0) << "no entry sits exactly on deadline " << deadline;
+    }
+  }
+}
+
+TEST_P(SimdShapeTest, SelectBestIdenticalAcrossGoalsAndMidVectorLimits) {
+  std::vector<ConfigScore> scores(static_cast<size_t>(engine_.num_entries()));
+  DecisionEngine::SelectScratch scratch;
+  for (const DecisionInputs& in : Inputs(16)) {
+    for (const GoalMode mode : kAllModes) {
+      for (const double pr_th : {0.0, 0.9}) {
+        for (const Watts limit : Limits()) {
+          const Goals goals = GoalsFor(mode, in, pr_th);
+          engine_.set_simd_enabled(false);
+          const auto scalar_sel =
+              engine_.SelectBest(goals, goals.energy_budget, in, limit, scratch);
+          engine_.set_simd_enabled(true);
+          const auto simd_sel =
+              engine_.SelectBest(goals, goals.energy_budget, in, limit, scratch);
+          engine_.ScoreAll(in, scores);
+          ExpectSamePick(scalar_sel, simd_sel);
+          ExpectSamePick(scalar_sel, engine_.SelectFromScores(
+                                         goals, goals.energy_budget, scores, limit));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SimdShapeTest, SelectionFollowsTheReferenceRuleInEveryMode) {
+  // The feasible pick, written out from the paper's rule over a ScoreAll table:
+  // drop entries under Pr_th (Eqs. 10/11), keep those meeting the mode's constraint
+  // (Eqs. 1/2) and take the best objective, ties to the lower tiebreak, the first
+  // seen among equals.  Nothing feasible must mean a fallback pick.
+  std::vector<ConfigScore> scores(static_cast<size_t>(engine_.num_entries()));
+  DecisionEngine::SelectScratch scratch;
+  std::vector<DecisionInputs> inputs = Inputs(16);
+  const std::vector<DecisionInputs> sigma0 = SigmaZeroInputs(8);
+  inputs.insert(inputs.end(), sigma0.begin(), sigma0.end());
+  int feasible_picks = 0;
+  int filtered_by_threshold = 0;
+  for (const DecisionInputs& in : inputs) {
+    engine_.ScoreAll(in, scores);
+    for (const GoalMode mode : kAllModes) {
+      for (const double pr_th : {0.0, 0.6, 0.95}) {
+        for (const Watts limit : {Limits()[0], Limits()[2]}) {
+          const Goals goals = GoalsFor(mode, in, pr_th);
+          const Joules allowance = goals.energy_budget;
+          int best_ci = -1, best_pi = -1;
+          double best_obj = 0.0, best_tie = 0.0;
+          const int width = [&] {
+            int max_pi = space_.num_powers() - 1;
+            while (max_pi > 0 && space_.cap(max_pi) > limit + 1e-9) --max_pi;
+            return max_pi + 1;
+          }();
+          for (int ci = 0; ci < engine_.num_candidates(); ++ci) {
+            for (int pi = 0; pi < width; ++pi) {
+              const ConfigScore& s =
+                  scores[static_cast<size_t>(engine_.entry_index(ci, pi))];
+              if (pr_th > 0.0 && s.prob_deadline < pr_th) {
+                ++filtered_by_threshold;
+                continue;
+              }
+              bool feasible = false;
+              double obj = 0.0, tie = 0.0;
+              switch (mode) {
+                case GoalMode::kMinimizeEnergy:
+                  feasible = s.expected_accuracy >= goals.accuracy_goal;
+                  obj = s.expected_energy;
+                  tie = -s.expected_accuracy;
+                  break;
+                case GoalMode::kMaximizeAccuracy:
+                  feasible = s.expected_energy <= allowance;
+                  obj = -s.expected_accuracy;
+                  tie = s.expected_energy;
+                  break;
+                case GoalMode::kMinimizeLatency:
+                  feasible = s.expected_accuracy >= goals.accuracy_goal &&
+                             s.expected_energy <= allowance;
+                  obj = s.expected_latency;
+                  tie = s.expected_energy;
+                  break;
+              }
+              if (!feasible) continue;
+              const bool better = best_ci < 0 || obj - best_obj < -1e-12 ||
+                                  (std::abs(obj - best_obj) <= 1e-12 && tie < best_tie);
+              if (better) {
+                best_ci = ci;
+                best_pi = pi;
+                best_obj = obj;
+                best_tie = tie;
+              }
+            }
+          }
+          const auto fused = engine_.SelectBest(goals, allowance, in, limit, scratch);
+          const auto table = engine_.SelectFromScores(goals, allowance, scores, limit);
+          for (const auto& sel : {fused, table}) {
+            EXPECT_EQ(sel.feasible, best_ci >= 0) << GetParam().name;
+            if (best_ci >= 0) {
+              EXPECT_EQ(sel.candidate_index, best_ci) << GetParam().name;
+              EXPECT_EQ(sel.power_index, best_pi) << GetParam().name;
+            }
+          }
+          feasible_picks += best_ci >= 0 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible_picks, 0);
+  EXPECT_GT(filtered_by_threshold, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SimdShapeTest,
+    ::testing::Values(
+        EngineShape{"Cpu1Both", PlatformId::kCpu1, DnnSetChoice::kBoth, false},
+        EngineShape{"GpuBoth", PlatformId::kGpu, DnnSetChoice::kBoth, false},
+        EngineShape{"Cpu1AnytimeOnly", PlatformId::kCpu1, DnnSetChoice::kAnytimeOnly,
+                    false},
+        EngineShape{"Cpu2TwoAnytimeModels", PlatformId::kCpu2, DnnSetChoice::kBoth,
+                    true}),
+    [](const ::testing::TestParamInfo<EngineShape>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace alert

@@ -72,6 +72,18 @@ TEST(SweepSpecSerdeTest, MalformedSpecsAreStatusErrors) {
   EXPECT_FALSE(ParseSweepSpec(bad_grid, &out).ok);
 }
 
+TEST(SweepSpecSerdeTest, ModeWithoutValidGoalsIsAStatusError) {
+  // The Table 3 grid gives min-latency goals no accuracy goal, so every one of them
+  // fails Goals::Valid(); the spec must be refused here, naming the mode, instead of
+  // aborting a worker inside the schedulers.
+  SweepSpec spec = ExampleSpec();
+  spec.cells[1].mode = GoalMode::kMinimizeLatency;
+  SweepSpec out;
+  const serde::Status s = ParseSweepSpec(SerializeSweepSpec(spec), &out);
+  EXPECT_FALSE(s.ok);
+  EXPECT_NE(s.message.find("MinimizeLatency"), std::string::npos) << s.message;
+}
+
 TEST(SweepUnitSerdeTest, RoundTripBothKinds) {
   SweepUnit unit;
   unit.id = 41;
