@@ -14,11 +14,12 @@
 #      finishes; the resumed CSV is byte-compared to mono.csv on every transport,
 #      a checkpoint torn inside its last record resumes from the records before it,
 #      and a deliberately corrupted checkpoint must be a hard error, not a silent
-#      restart.
+#      restart.  A finished run's checkpoint is a whole results file: sweep_merge
+#      of it alone must reproduce mono.csv too.
 # Socket-transport steps tee dispatcher stderr into ${WORK_DIR}/logs/ so CI can
 # upload the lease/steal event stream as an artifact when a step fails.
-# Invoked with -DSWEEP_SHARD=... -DSWEEP_DISPATCH=... -DWORK_DIR=...
-foreach(var SWEEP_SHARD SWEEP_DISPATCH WORK_DIR)
+# Invoked with -DSWEEP_SHARD=... -DSWEEP_DISPATCH=... -DSWEEP_MERGE=... -DWORK_DIR=...
+foreach(var SWEEP_SHARD SWEEP_DISPATCH SWEEP_MERGE WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "dispatch_e2e: ${var} not defined")
   endif()
@@ -174,6 +175,9 @@ foreach(transport inprocess subprocess socket)
   run_step_logged(resume_${transport} ${SWEEP_DISPATCH} ${resume_flags}
                   --out=dispatched_resume_${transport}.csv -v)
   compare_files(mono.csv dispatched_resume_${transport}.csv)
+  run_step(${SWEEP_MERGE} --spec=spec.txt --out=merged_ckpt_${transport}.csv
+           ckpt_${transport}/checkpoint.sweep)
+  compare_files(mono.csv merged_ckpt_${transport}.csv)
 endforeach()
 
 # Worker command template (injection flags are refused there, but --crash-after is

@@ -5,7 +5,10 @@
 #   4. a 2-shard cost-weighted run produces c0/c1.results, merged into merged_cw.csv;
 #   5. both merged CSVs must be byte-identical to mono.csv;
 #   6. a spec whose cell mode has no valid goals (min-latency) is refused with a
-#      diagnostic and a non-zero exit, not an abort.
+#      diagnostic and a non-zero exit, not an abort;
+#   7. sweep_merge exits 1 naming the offending file for a results file built from a
+#      different spec, one cut inside its last record, and two files that both
+#      deliver one unit.
 # Invoked with -DSWEEP_SHARD=... -DSWEEP_MERGE=... -DWORK_DIR=...
 foreach(var SWEEP_SHARD SWEEP_MERGE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -71,5 +74,43 @@ endif()
 if(NOT err MATCHES "MinimizeLatency")
   message(FATAL_ERROR "sweep_e2e: a mode=2 diagnostic does not name the mode: ${err}")
 endif()
+
+# sweep_merge must refuse each bad results set with exit 1 and name FILE.
+function(expect_merge_refusal what file)
+  execute_process(COMMAND ${SWEEP_MERGE} --spec=spec.txt --out=refused.csv ${ARGN}
+                  WORKING_DIRECTORY ${WORK_DIR} RESULT_VARIABLE rc
+                  ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "sweep_e2e: merging ${what} exited '${rc}', want 1: ${err}")
+  endif()
+  string(FIND "${err}" "'${file}'" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "sweep_e2e: merging ${what}: diagnostic does not name "
+                        "${file}: ${err}")
+  endif()
+  if(EXISTS ${WORK_DIR}/refused.csv)
+    message(FATAL_ERROR "sweep_e2e: merging ${what} still wrote a CSV")
+  endif()
+endfunction()
+
+# A shard of another plan: same shape, one grid setting moved.
+string(REPLACE "grid setting=35" "grid setting=34" other_spec "${spec_text}")
+file(WRITE ${WORK_DIR}/other_spec.txt "${other_spec}")
+run_step(${SWEEP_SHARD} --spec=other_spec.txt --shards=2 --shard=1
+         --out=other_s1.results)
+expect_merge_refusal("a shard of a different plan" other_s1.results
+                     s0.results other_s1.results)
+
+# A shard file cut inside its last record (a finished shard file is always whole).
+file(READ ${WORK_DIR}/s1.results shard_text)
+string(LENGTH "${shard_text}" shard_len)
+math(EXPR cut "${shard_len} - 5")
+string(SUBSTRING "${shard_text}" 0 ${cut} cut_text)
+file(WRITE ${WORK_DIR}/cut_s1.results "${cut_text}")
+expect_merge_refusal("a truncated shard" cut_s1.results s0.results cut_s1.results)
+
+# Two files that both deliver unit 0.
+expect_merge_refusal("two files delivering one unit" mono.results
+                     s0.results s1.results mono.results)
 
 message(STATUS "sweep_e2e: merged shard CSVs byte-identical to the monolithic sweep")

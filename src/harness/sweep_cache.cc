@@ -217,7 +217,7 @@ serde::Status SweepResultCache::Save() const {
     text += '\n';
   }
   text += "end\n";
-  return serde::WriteFile(path_, text);
+  return serde::WriteFileAtomic(path_, text);
 }
 
 serde::Status ResolveSweepCacheMode(const std::string& cache_dir,

@@ -329,93 +329,6 @@ uint64_t PlanFingerprint(const SweepPlan& plan) {
   return hash;
 }
 
-std::string SerializeShardResults(const ShardResults& shard) {
-  std::string text;
-  text += RecordWriter("sweep-results")
-              .Field("v", kFormatVersion)
-              .Field("plan", shard.plan_fingerprint)
-              .Field("shards", shard.num_shards)
-              .Field("shard", shard.shard_index)
-              .Field("strategy", static_cast<int>(shard.strategy))
-              .Field("units", static_cast<int>(shard.results.size()))
-              .line();
-  text += '\n';
-  for (const SweepUnitResult& result : shard.results) {
-    text += SerializeSweepUnitResult(result);
-    text += '\n';
-  }
-  text += "end\n";
-  return text;
-}
-
-serde::Status ParseShardResults(std::string_view text, ShardResults* out) {
-  *out = ShardResults{};
-  const std::vector<std::string_view> lines = serde::DataLines(text);
-  if (lines.empty()) {
-    return serde::Error("empty results file");
-  }
-  RecordReader reader;
-  Status s = RecordReader::Parse(lines[0], &reader);
-  if (s) {
-    s = reader.ExpectTag("sweep-results");
-  }
-  if (s) {
-    s = CheckVersion(reader);
-  }
-  int declared_units = 0;
-  if (s) {
-    s = reader.Get("plan", &out->plan_fingerprint);
-  }
-  if (s) {
-    s = reader.Get("shards", &out->num_shards);
-  }
-  if (s) {
-    s = reader.Get("shard", &out->shard_index);
-  }
-  if (s) {
-    s = GetEnum(reader, "strategy", 2, &out->strategy);
-  }
-  if (s) {
-    s = reader.Get("units", &declared_units);
-  }
-  if (s && (out->num_shards <= 0 || out->shard_index < 0 ||
-            out->shard_index >= out->num_shards)) {
-    s = serde::Error("shard index/count out of range");
-  }
-  if (s) {
-    s = reader.ExpectAllConsumed();
-  }
-  if (!s) {
-    return serde::Wrap("results header", s);
-  }
-
-  bool saw_end = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (saw_end) {
-      return serde::Error("content after 'end'");
-    }
-    if (lines[i] == "end") {
-      saw_end = true;
-      continue;
-    }
-    SweepUnitResult result;
-    s = ParseSweepUnitResult(lines[i], &result);
-    if (!s) {
-      return serde::Wrap("results line " + std::to_string(i + 1), s);
-    }
-    out->results.push_back(result);
-  }
-  if (!saw_end) {
-    return serde::Error("results missing 'end' (truncated file?)");
-  }
-  if (static_cast<int>(out->results.size()) != declared_units) {
-    return serde::Error("results header declares " + std::to_string(declared_units) +
-                        " units but file carries " +
-                        std::to_string(out->results.size()));
-  }
-  return serde::Ok();
-}
-
 namespace {
 
 constexpr int kCheckpointVersion = 2;
@@ -540,6 +453,31 @@ serde::Status ParseSweepCheckpoint(std::string_view text, SweepCheckpoint* out) 
                           " recorded twice with different results");
     }
   }
+  return serde::Ok();
+}
+
+serde::Status LoadSweepResults(const std::string& path, uint64_t plan_fingerprint,
+                               bool require_whole, std::vector<SweepUnitResult>* out) {
+  std::string text;
+  Status s = serde::ReadFile(path, &text);
+  if (!s) {
+    return s;
+  }
+  const std::string where = "results file '" + path + "'";
+  if (require_whole && !text.ends_with('\n')) {
+    return serde::Error(where + " does not end in a whole record (truncated file?)");
+  }
+  SweepCheckpoint file;
+  s = ParseSweepCheckpoint(text, &file);
+  if (!s) {
+    return serde::Wrap(where, s);
+  }
+  if (file.plan_fingerprint != plan_fingerprint) {
+    return serde::Error(where + " was written for a different plan (fingerprint " +
+                        std::to_string(file.plan_fingerprint) + ", spec builds " +
+                        std::to_string(plan_fingerprint) + ")");
+  }
+  out->insert(out->end(), file.results.begin(), file.results.end());
   return serde::Ok();
 }
 

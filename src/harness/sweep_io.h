@@ -10,10 +10,12 @@
 //                    identical unit list.
 //   unit line      — one self-describing record per SweepUnit (`--print-units`,
 //                    benches, tests).
-//   results file   — `sweep-results v=1` header carrying the plan fingerprint and the
-//                    shard coordinates, then one `result` record per executed unit.
-//                    The fingerprint lets sweep_merge reject results produced from a
-//                    different spec instead of quietly mis-merging them.
+//   results file   — the checksummed `sweep-checkpoint v=2` journal (SweepCheckpoint
+//                    below): the plan fingerprint, then one `result` record per
+//                    unit.  sweep_shard --out and sweep_dispatch --checkpoint-dir both
+//                    write it, and LoadSweepResults reads it back for sweep_merge and a
+//                    resume; the fingerprint lets either refuse results produced from
+//                    a different spec instead of quietly mis-merging them.
 //   profile snapshot — the flattened ConfigSpace profile (see ProfileSnapshot), the
 //                    state a remote shard would need to rebuild a DecisionEngine
 //                    without re-profiling.
@@ -52,23 +54,10 @@ serde::Status ParseSweepUnitResult(std::string_view line, SweepUnitResult* out);
 // plan" across processes.
 uint64_t PlanFingerprint(const SweepPlan& plan);
 
-// One shard's executed units.
-struct ShardResults {
-  uint64_t plan_fingerprint = 0;
-  int num_shards = 1;
-  int shard_index = 0;
-  ShardStrategy strategy = ShardStrategy::kRoundRobin;
-  std::vector<SweepUnitResult> results;
-
-  friend bool operator==(const ShardResults&, const ShardResults&) = default;
-};
-
-std::string SerializeShardResults(const ShardResults& shard);
-serde::Status ParseShardResults(std::string_view text, ShardResults* out);
-
-// A dispatcher checkpoint: an append-only journal of the merge accumulator's
-// recorded unit results, fingerprint-guarded so a checkpoint from a different plan is
-// rejected at resume time instead of silently poisoning the merge.
+// A results file: a shard's executed units (sweep_shard --out) or a dispatcher
+// checkpoint, the append-only journal of the merge accumulator's recorded unit
+// results.  It is fingerprint-guarded so results from a different plan are refused
+// instead of silently poisoning the merge.
 //
 // Grammar (one record per '\n'-terminated line):
 //   sweep-checkpoint v=2 plan=FP sum=HEX
@@ -92,6 +81,14 @@ struct SweepCheckpoint {
 // The compacted journal: the header plus one record per result, in order.
 std::string SerializeSweepCheckpoint(const SweepCheckpoint& checkpoint);
 serde::Status ParseSweepCheckpoint(std::string_view text, SweepCheckpoint* out);
+
+// Reads the results file at `path`, refuses one written for a plan other than
+// `plan_fingerprint`, and appends its results to `out`.  Diagnostics name the file.
+// With `require_whole` set, a file whose last byte is not '\n' is refused as
+// truncated instead of having its torn tail dropped: a finished shard file or
+// checkpoint is always whole, while a killed dispatcher's checkpoint may not be.
+serde::Status LoadSweepResults(const std::string& path, uint64_t plan_fingerprint,
+                               bool require_whole, std::vector<SweepUnitResult>* out);
 
 // The dispatcher's handle on a checkpoint journal.  Open writes the header and the
 // base records once (serde::WriteFileAtomic) and keeps the file open; Add buffers

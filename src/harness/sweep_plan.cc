@@ -249,19 +249,6 @@ std::string_view ShardStrategyName(ShardStrategy strategy) {
   return "?";
 }
 
-serde::Status ParseShardStrategy(std::string_view name, ShardStrategy* out) {
-  if (name == ShardStrategyName(ShardStrategy::kRoundRobin)) {
-    *out = ShardStrategy::kRoundRobin;
-    return serde::Ok();
-  }
-  if (name == ShardStrategyName(ShardStrategy::kCostWeighted)) {
-    *out = ShardStrategy::kCostWeighted;
-    return serde::Ok();
-  }
-  return serde::Error("unknown shard strategy '" + std::string(name) +
-                      "' (want round-robin or cost-weighted)");
-}
-
 std::vector<std::vector<SweepUnit>> PartitionPlan(const SweepPlan& plan, int num_shards,
                                                   ShardStrategy strategy) {
   ALERT_CHECK(num_shards > 0);

@@ -183,10 +183,8 @@ enum class ShardStrategy : int {
 };
 
 // Stable lowercase token for a strategy ("round-robin" / "cost-weighted"); the CLI
-// flag vocabulary and the results-file field both use it.
+// flag vocabulary uses it.
 std::string_view ShardStrategyName(ShardStrategy strategy);
-// Inverse of ShardStrategyName; unknown names are a Status error naming the token.
-serde::Status ParseShardStrategy(std::string_view name, ShardStrategy* out);
 
 // Splits the plan into `num_shards` (> 0; checked) disjoint, exhaustive shards:
 // every unit appears in exactly one shard.  Deterministic for a given (plan, K,

@@ -25,6 +25,16 @@ TEST(ParallelForTest, ZeroAndNegativeCountsAreNoOps) {
   EXPECT_EQ(calls, 0);
 }
 
+TEST(ParallelForTest, ZeroCountIsNoop) {
+  ParallelFor(0, [](int) { FAIL(); });
+}
+
+TEST(ParallelForTest, SingleThreadFallback) {
+  int sum = 0;
+  ParallelFor(10, [&](int i) { sum += i; }, 1);
+  EXPECT_EQ(sum, 45);
+}
+
 TEST(ParallelForTest, PropagatesWorkerExceptionInsteadOfTerminating) {
   EXPECT_THROW(
       ParallelFor(

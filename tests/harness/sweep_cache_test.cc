@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,32 @@ TEST(SweepResultCacheTest, RecordSaveLoadRoundTrip) {
   ASSERT_TRUE(reloaded.Lookup(222, &out));
   EXPECT_TRUE(out.skipped);
   EXPECT_FALSE(reloaded.Lookup(333, &out));
+}
+
+TEST(SweepResultCacheTest, FailedSaveLeavesThePreviousFileWhole) {
+  const std::string dir = ::testing::TempDir() + "/sweep_cache_failed_save";
+  std::filesystem::remove_all(dir);
+  SweepUnitResult result;
+  result.unit_id = 0;
+  result.usable = true;
+  result.metric = 0.5;
+  SweepResultCache cache;
+  ASSERT_TRUE(OpenSweepResultCacheDir(dir, SweepCacheMode::kReadWrite, &cache).ok);
+  ASSERT_TRUE(cache.Record(1, 9, result).ok);
+  ASSERT_TRUE(cache.Save().ok);
+  std::string before;
+  ASSERT_TRUE(serde::ReadFile(dir + "/units.cache", &before).ok);
+
+  // A directory where Save writes its temporary copy makes that write fail.
+  SweepResultCache reopened;
+  ASSERT_TRUE(OpenSweepResultCacheDir(dir, SweepCacheMode::kReadWrite, &reopened).ok);
+  ASSERT_TRUE(reopened.Record(2, 9, result).ok);
+  ASSERT_TRUE(std::filesystem::create_directory(dir + "/units.cache.tmp"));
+  EXPECT_FALSE(reopened.Save().ok);
+  std::string after;
+  ASSERT_TRUE(serde::ReadFile(dir + "/units.cache", &after).ok);
+  EXPECT_EQ(after, before);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepResultCacheTest, ReadModeNeverWrites) {

@@ -53,16 +53,13 @@ class SweepEquivalenceTest : public ::testing::Test {
     std::vector<SweepUnitResult> merged_results;
     const auto shards = PartitionPlan(*plan_, num_shards, strategy);
     for (size_t i = 0; i < shards.size(); ++i) {
-      ShardResults shard;
+      SweepCheckpoint shard;
       shard.plan_fingerprint = fingerprint;
-      shard.num_shards = num_shards;
-      shard.shard_index = static_cast<int>(i);
-      shard.strategy = strategy;
       shard.results = RunSweepUnits(*plan_, shards[i]);
 
-      ShardResults parsed;
+      SweepCheckpoint parsed;
       const serde::Status s =
-          ParseShardResults(SerializeShardResults(shard), &parsed);
+          ParseSweepCheckpoint(SerializeSweepCheckpoint(shard), &parsed);
       EXPECT_TRUE(s.ok) << s.message;
       EXPECT_EQ(parsed, shard);
       merged_results.insert(merged_results.end(), parsed.results.begin(),

@@ -170,50 +170,6 @@ TEST(SweepResultSerdeTest, MalformedResultsAreStatusErrors) {
       ParseSweepUnitResult("result unit=-2 skipped=0 usable=0", &out).ok);
 }
 
-TEST(ShardResultsSerdeTest, RoundTripAndPlanFingerprintGuard) {
-  ShardResults shard;
-  shard.plan_fingerprint = 13678292389700777394ull;
-  shard.num_shards = 4;
-  shard.shard_index = 2;
-  shard.strategy = ShardStrategy::kCostWeighted;
-  SweepUnitResult r;
-  r.unit_id = 0;
-  r.usable = true;
-  r.metric = 0.5;
-  shard.results.push_back(r);
-  r.unit_id = 7;
-  r.usable = false;
-  r.metric = 0.0;
-  shard.results.push_back(r);
-
-  const std::string text = SerializeShardResults(shard);
-  ShardResults parsed;
-  const serde::Status s = ParseShardResults(text, &parsed);
-  ASSERT_TRUE(s.ok) << s.message;
-  EXPECT_EQ(parsed, shard);
-  EXPECT_EQ(SerializeShardResults(parsed), text);
-}
-
-TEST(ShardResultsSerdeTest, MalformedFilesAreStatusErrors) {
-  ShardResults out;
-  EXPECT_FALSE(ParseShardResults("", &out).ok);
-  ShardResults shard;
-  shard.results.push_back(SweepUnitResult{.unit_id = 0});
-  const std::string good = SerializeShardResults(shard);
-  // Truncated: no 'end'.
-  EXPECT_FALSE(ParseShardResults(good.substr(0, good.size() - 4), &out).ok);
-  // Header unit count disagrees with the body.
-  std::string wrong_count = good;
-  wrong_count.replace(wrong_count.find("units=1"), 7, "units=2");
-  EXPECT_FALSE(ParseShardResults(wrong_count, &out).ok);
-  // Shard index out of range.
-  std::string bad_shard = good;
-  bad_shard.replace(bad_shard.find("shard=0"), 7, "shard=5");
-  EXPECT_FALSE(ParseShardResults(bad_shard, &out).ok);
-  // Content after 'end'.
-  EXPECT_FALSE(ParseShardResults(good + "result unit=1 skipped=0 usable=0\n", &out).ok);
-}
-
 TEST(SweepCheckpointSerdeTest, RoundTripIsIdentity) {
   SweepCheckpoint checkpoint;
   checkpoint.plan_fingerprint = 13678292389700777394ull;
@@ -378,6 +334,40 @@ TEST(SweepCheckpointJournalTest, AppendsReadBackAsOneCheckpoint) {
   base.results.push_back(appended);
   EXPECT_EQ(parsed, base);
   EXPECT_EQ(text, SerializeSweepCheckpoint(base));  // the journal is the compacted form
+  std::remove(path.c_str());
+}
+
+TEST(LoadSweepResultsTest, AppendsAndRefusesForeignPlansAndTruncationWhenWholeIsRequired) {
+  // One loader serves sweep_merge (a finished file is whole) and a dispatcher resume
+  // (a killed dispatcher's torn last record is dropped).  Both refuse a file written
+  // for another plan, and every refusal names the file.
+  const std::string path = ::testing::TempDir() + "/sweep_io_load.results";
+  const SweepCheckpoint file = ExampleCheckpoint();
+  const uint64_t plan = file.plan_fingerprint;
+  const std::string text = SerializeSweepCheckpoint(file);
+  ASSERT_TRUE(serde::WriteFile(path, text).ok);
+  std::vector<SweepUnitResult> loaded = {SweepUnitResult{.unit_id = 5}};
+  serde::Status s = LoadSweepResults(path, plan, /*require_whole=*/true, &loaded);
+  ASSERT_TRUE(s.ok) << s.message;
+  std::vector<SweepUnitResult> want = {SweepUnitResult{.unit_id = 5}};
+  want.insert(want.end(), file.results.begin(), file.results.end());
+  EXPECT_EQ(loaded, want);  // appended after what was there
+
+  s = LoadSweepResults(path, plan + 1, /*require_whole=*/false, &loaded);
+  EXPECT_FALSE(s.ok);
+  EXPECT_NE(s.message.find("different plan"), std::string::npos) << s.message;
+  EXPECT_NE(s.message.find(path), std::string::npos) << s.message;
+  EXPECT_EQ(loaded, want);  // a refused file adds nothing
+
+  ASSERT_TRUE(serde::WriteFile(path, text.substr(0, text.size() - 3)).ok);
+  s = LoadSweepResults(path, plan, /*require_whole=*/true, &loaded);
+  EXPECT_FALSE(s.ok);
+  EXPECT_NE(s.message.find("truncated"), std::string::npos) << s.message;
+  EXPECT_NE(s.message.find(path), std::string::npos) << s.message;
+  loaded.clear();
+  ASSERT_TRUE(LoadSweepResults(path, plan, /*require_whole=*/false, &loaded).ok);
+  want.assign(file.results.begin(), file.results.end() - 1);
+  EXPECT_EQ(loaded, want);
   std::remove(path.c_str());
 }
 

@@ -222,16 +222,5 @@ TEST(SweepPlanTest, ReplayRowsAreTheSettingsThatShareACellSeedAndDeadline) {
   }
 }
 
-TEST(SweepPlanTest, StrategyNamesRoundTrip) {
-  for (const ShardStrategy strategy :
-       {ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted}) {
-    ShardStrategy parsed;
-    ASSERT_TRUE(ParseShardStrategy(ShardStrategyName(strategy), &parsed).ok);
-    EXPECT_EQ(parsed, strategy);
-  }
-  ShardStrategy parsed;
-  EXPECT_FALSE(ParseShardStrategy("random", &parsed).ok);
-}
-
 }  // namespace
 }  // namespace alert

@@ -119,8 +119,8 @@ class SweepGoldenTest : public ::testing::Test {
     ASSERT_TRUE(s.ok) << s.message;
     plan_ = BuildSweepPlan(spec);
     golden_csv_ = TestData("sweep_full_rows.golden.csv");
-    ASSERT_TRUE(ParseShardResults(TestData("sweep_full_rows.golden.results"),
-                                  &golden_results_)
+    ASSERT_TRUE(ParseSweepCheckpoint(TestData("sweep_full_rows.golden.results"),
+                                     &golden_results_)
                     .ok);
     ASSERT_EQ(golden_results_.plan_fingerprint, PlanFingerprint(plan_));
     ASSERT_EQ(golden_results_.results.size(), plan_.units.size());
@@ -128,7 +128,7 @@ class SweepGoldenTest : public ::testing::Test {
 
   SweepPlan plan_;
   std::string golden_csv_;
-  ShardResults golden_results_;
+  SweepCheckpoint golden_results_;
 };
 
 TEST_F(SweepGoldenTest, InProcessSweepReproducesTheGoldenByteForByte) {
@@ -136,10 +136,11 @@ TEST_F(SweepGoldenTest, InProcessSweepReproducesTheGoldenByteForByte) {
   options.threads = 2;
   EXPECT_EQ(SweepAggregateCsv(plan_, RunSweep(plan_, options)), golden_csv_);
 
-  ShardResults results;
+  SweepCheckpoint results;
   results.plan_fingerprint = PlanFingerprint(plan_);
   results.results = RunSweepUnits(plan_, plan_.units, options);
-  EXPECT_EQ(SerializeShardResults(results), TestData("sweep_full_rows.golden.results"));
+  EXPECT_EQ(SerializeSweepCheckpoint(results),
+            TestData("sweep_full_rows.golden.results"));
 }
 
 TEST_F(SweepGoldenTest, DispatchWithRowCuttingLeasesReproducesTheGolden) {

@@ -275,26 +275,20 @@ int main(int argc, char** argv) {
     std::filesystem::create_directories(checkpoint_dir, ec);  // best-effort; the
     // first checkpoint write surfaces a real permission problem loudly.
     options.checkpoint_path = checkpoint_dir + "/checkpoint.sweep";
-    std::string checkpoint_text;
-    if (serde::ReadFile(options.checkpoint_path, &checkpoint_text)) {
+    if (std::filesystem::exists(options.checkpoint_path)) {
       // A checkpoint exists: it must parse and match this plan, or the operator is
-      // resuming the wrong sweep — refusing beats silently restarting from zero.
-      SweepCheckpoint checkpoint;
-      s = ParseSweepCheckpoint(checkpoint_text, &checkpoint);
+      // resuming the wrong sweep — refusing beats silently restarting from zero.  A
+      // torn last record is what a killed dispatcher leaves, and is dropped.
+      const size_t preseeded = options.preseeded_results.size();
+      s = LoadSweepResults(options.checkpoint_path, PlanFingerprint(plan),
+                           /*require_whole=*/false, &options.preseeded_results);
       if (!s) {
-        Fail("checkpoint '" + options.checkpoint_path + "': " + s.message +
-             " (refusing to silently restart; delete the file to start fresh)");
-      }
-      if (checkpoint.plan_fingerprint != PlanFingerprint(plan)) {
-        Fail("checkpoint '" + options.checkpoint_path +
-             "' was written for a different plan (fingerprint mismatch); delete "
-             "the file or point --checkpoint-dir elsewhere");
+        Fail(s.message +
+             " (refusing to silently restart; delete the file or point "
+             "--checkpoint-dir elsewhere)");
       }
       std::fprintf(stderr, "sweep_dispatch: resuming %zu checkpointed results\n",
-                   checkpoint.results.size());
-      options.preseeded_results.insert(options.preseeded_results.end(),
-                                       checkpoint.results.begin(),
-                                       checkpoint.results.end());
+                   options.preseeded_results.size() - preseeded);
     }
   }
 

@@ -1,8 +1,9 @@
 // sweep_merge — deterministic merge plane for sharded sweep results.
 //
 // Rebuilds the unit list from the spec (the same BuildSweepPlan every shard used),
-// reads any number of shard results files, verifies they belong to this plan and cover
-// every unit exactly once, and aggregates them into the sweep CSV.  The output is
+// reads any number of results files (sweep_shard --out files, or the checkpoint of a
+// finished sweep_dispatch run), verifies they belong to this plan and cover every
+// unit exactly once, and aggregates them into the sweep CSV.  The output is
 // byte-identical to the monolithic sweep's CSV no matter how the units were sharded —
 // aggregation only depends on (plan, per-unit results).
 #include <cstdio>
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
        flags::String("--out=CSV", &out_path, "write the aggregate CSV here"),
        flags::Switch("--print", &print, "print the aggregate CSV to stdout"),
        flags::Positional("RESULTS_FILE...", &results_paths,
-                         "shard results files, together covering every unit once")
+                         "results files, together covering every unit once")
            .Required()});
   cli.Parse(argc, argv);
   if (out_path.empty() && !print) {
@@ -58,24 +59,27 @@ int main(int argc, char** argv) {
   const SweepPlan plan = BuildSweepPlan(spec);
   const uint64_t fingerprint = PlanFingerprint(plan);
 
+  // Which file delivered each unit, so a unit two files deliver names both of them
+  // (MergeSweepResults refuses it too, but knows no file names).
   std::vector<SweepUnitResult> results;
+  std::vector<const std::string*> delivered_by(plan.units.size(), nullptr);
   for (const std::string& path : results_paths) {
-    std::string text;
-    s = serde::ReadFile(path, &text);
+    const size_t first = results.size();
+    s = LoadSweepResults(path, fingerprint, /*require_whole=*/true, &results);
     if (!s) {
       Fail(s.message);
     }
-    ShardResults shard;
-    s = ParseShardResults(text, &shard);
-    if (!s) {
-      Fail("results '" + path + "': " + s.message);
+    for (size_t i = first; i < results.size(); ++i) {
+      const auto id = static_cast<size_t>(results[i].unit_id);
+      if (id >= delivered_by.size()) {
+        continue;  // MergeSweepResults names the unknown unit
+      }
+      if (delivered_by[id] != nullptr) {
+        Fail("results file '" + path + "' delivers unit " + std::to_string(id) +
+             ", which '" + *delivered_by[id] + "' already delivered");
+      }
+      delivered_by[id] = &path;
     }
-    if (shard.plan_fingerprint != fingerprint) {
-      Fail("results '" + path + "' were produced from a different plan (fingerprint " +
-           std::to_string(shard.plan_fingerprint) + ", spec builds " +
-           std::to_string(fingerprint) + ")");
-    }
-    results.insert(results.end(), shard.results.begin(), shard.results.end());
   }
 
   std::vector<CellResult> cells;

@@ -2,8 +2,9 @@
 //
 // Both sweep_shard and sweep_merge rebuild the identical, deterministic unit list from
 // the spec file, so the only thing shards have to exchange is the spec and their
-// per-unit results (plain text, no shared memory).  A results file carries the plan
-// fingerprint; sweep_merge refuses to mix results from different specs.
+// per-unit results (plain text, no shared memory).  A results file is the checksummed
+// journal a dispatcher checkpoint uses (see src/harness/sweep_io.h) and carries the
+// plan fingerprint; sweep_merge refuses to mix results from different specs.
 //
 // Typical 2-shard session (run the shards on different machines if you like):
 //   sweep_shard --write-default-spec=spec.txt
@@ -104,7 +105,9 @@ int main(int argc, char** argv) {
            flags::Named({ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted},
                         ShardStrategyName),
            "partition strategy"),
-       flags::String("--out=FILE", &out_path, "per-unit results file for sweep_merge"),
+       flags::String("--out=FILE", &out_path,
+                     "per-unit results file for sweep_merge (the\n"
+                     "checksummed journal a dispatcher checkpoint uses)"),
        flags::String("--csv=FILE", &csv_path,
                      "also write the aggregate CSV (full plan only, i.e.\n"
                      "--shards=1: this is the monolithic sweep)"),
@@ -249,13 +252,8 @@ int main(int argc, char** argv) {
 
   SweepRunOptions run_options;
   run_options.threads = worker_options.threads;
-  ShardResults results;
-  results.plan_fingerprint = PlanFingerprint(plan);
-  results.num_shards = num_shards;
-  results.shard_index = shard_index;
-  results.strategy = strategy;
   SweepCacheRunStats cache_stats;
-  results.results = RunSweepUnitsCached(
+  const std::vector<SweepUnitResult> results = RunSweepUnitsCached(
       plan, units, run_options,
       cache_mode != SweepCacheMode::kOff ? &cache : nullptr, &cache_stats);
   if (cache_mode != SweepCacheMode::kOff) {
@@ -276,14 +274,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  s = serde::WriteFile(out_path, SerializeShardResults(results));
+  s = serde::WriteFileAtomic(out_path,
+                             SerializeSweepCheckpoint({PlanFingerprint(plan), results}));
   if (!s) {
     Fail(s.message);
   }
 
   if (!csv_path.empty()) {
     std::vector<CellResult> cells;
-    s = MergeSweepResults(plan, results.results, &cells);
+    s = MergeSweepResults(plan, results, &cells);
     if (!s) {
       Fail(s.message);
     }
