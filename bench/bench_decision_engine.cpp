@@ -11,6 +11,9 @@
 // splits the anytime candidates across chunks.  Derived metrics (ratios;
 // machine-stable) feed the perf-trajectory gate — see bench/trajectory/.
 //
+// select_best_over_score_all_simd_1760 is ScoreAll's time over SelectBest's on the
+// vector kernel: the fused selection must cost less than materializing the scores.
+//
 // The oracle cases time the clairvoyant Oracle's per-input search on the CPU1 (110
 // configurations) and GPU (350) spaces: OracleScheduler::Decide, one power-ladder
 // pass per candidate, against the per-configuration Execute loop it replaced.
@@ -323,6 +326,10 @@ int Main(int argc, char** argv) {
     // ALERT*'s decision: the scalar sigma == 0 row pass over the vector one.
     h.Derive("select_best_sigma0_simd_speedup_1760",
              select_sigma0_1760 / select_sigma0_simd_1760);
+    // A whole vector decision against storing the scores alone: above 1 when the
+    // selection runs inside the score kernel and skips rows that cannot win, below
+    // 1 when SelectBest stores the scores and rescans them.
+    h.Derive("select_best_over_score_all_simd_1760", simd_1760 / select_simd_1760);
   }
   return h.Finish();
 }

@@ -1,6 +1,6 @@
 // The vector-register wrapper behind the SIMD kernels: one set of operations
-// (load/broadcast/arithmetic/min/max/compare/blend/gather and int index math over
-// doubles) implemented for AVX2 (4 lanes) and NEON (2 lanes).
+// (load/broadcast/arithmetic/min/max/compare/blend/mask tests/gather and int index
+// math over doubles) implemented for AVX2 (4 lanes) and NEON (2 lanes).
 //
 // This header is included ONLY from the kernel translation units
 // (src/common/gaussian_simd.cc, src/core/decision_engine_simd.cc), which CMake
@@ -54,6 +54,14 @@ inline VecM CmpGe(VecD a, VecD b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ)}
 inline VecD Select(VecM mask, VecD a, VecD b) {
   return {_mm256_blendv_pd(b.v, a.v, mask.m)};
 }
+inline VecM Or(VecM a, VecM b) { return {_mm256_or_pd(a.m, b.m)}; }
+// Bit j set iff lane j of the mask is set.
+inline int MoveMask(VecM a) { return _mm256_movemask_pd(a.m); }
+// Lanes [0, n) set.
+inline VecM FirstLanes(int n) {
+  return {_mm256_cmp_pd(_mm256_set_pd(3.0, 2.0, 1.0, 0.0),
+                        _mm256_set1_pd(static_cast<double>(n)), _CMP_LT_OQ)};
+}
 // Truncation toward zero, exactly like static_cast<int>(double).
 inline VecI TruncToInt(VecD a) { return {_mm256_cvttpd_epi32(a.v)}; }
 inline VecD IntToDouble(VecI a) { return {_mm256_cvtepi32_pd(a.v)}; }
@@ -105,6 +113,15 @@ inline VecM CmpLe(VecD a, VecD b) { return {vcleq_f64(a.v, b.v)}; }
 inline VecM CmpGe(VecD a, VecD b) { return {vcgeq_f64(a.v, b.v)}; }
 inline VecD Select(VecM mask, VecD a, VecD b) {
   return {vbslq_f64(mask.m, a.v, b.v)};
+}
+inline VecM Or(VecM a, VecM b) { return {vorrq_u64(a.m, b.m)}; }
+inline int MoveMask(VecM a) {
+  return static_cast<int>((vgetq_lane_u64(a.m, 0) & 1) |
+                          ((vgetq_lane_u64(a.m, 1) & 1) << 1));
+}
+inline VecM FirstLanes(int n) {
+  const double lanes[2] = {0.0, 1.0};
+  return {vcltq_f64(vld1q_f64(lanes), vdupq_n_f64(static_cast<double>(n)))};
 }
 inline VecI TruncToInt(VecD a) {
   // vcvtq_s64_f64 rounds toward zero, exactly like static_cast<int>(double).

@@ -61,6 +61,7 @@ DecisionEngine::DecisionEngine(const ConfigSpace& space)
   inference_power_.resize(entries);
   final_accuracy_.resize(static_cast<size_t>(num_candidates_));
   q_fail_.resize(static_cast<size_t>(num_candidates_));
+  accuracy_bound_.resize(static_cast<size_t>(num_candidates_));
   stage_offset_.resize(static_cast<size_t>(num_candidates_), 0);
   stage_count_.resize(static_cast<size_t>(num_candidates_), 0);
 
@@ -84,6 +85,7 @@ DecisionEngine::DecisionEngine(const ConfigSpace& space)
     const DnnModel& model = space.model(c.model_index);
     final_accuracy_[static_cast<size_t>(ci)] = space.CandidateAccuracy(c);
     q_fail_[static_cast<size_t>(ci)] = TaskRandomGuessAccuracy(model.task);
+    double bound = q_fail_[static_cast<size_t>(ci)];
     if (c.stage_limit >= 0) {
       const int last = std::min(c.stage_limit,
                                 static_cast<int>(model.anytime_stages.size()) - 1);
@@ -92,7 +94,13 @@ DecisionEngine::DecisionEngine(const ConfigSpace& space)
       stage_offset_[static_cast<size_t>(ci)] =
           model_ladder_offset[static_cast<size_t>(c.model_index)];
       stage_count_[static_cast<size_t>(ci)] = last + 1;
+      for (int k = 0; k <= last; ++k) {
+        bound = std::max(bound, model.anytime_stages[static_cast<size_t>(k)].accuracy);
+      }
+    } else {
+      bound = std::max(bound, final_accuracy_[static_cast<size_t>(ci)]);
     }
+    accuracy_bound_[static_cast<size_t>(ci)] = bound;
     for (int pi = 0; pi < num_powers_; ++pi) {
       const size_t e = static_cast<size_t>(entry_index(ci, pi));
       run_profile_[e] = space.CandidateProfileLatency(c, pi);
@@ -111,6 +119,8 @@ DecisionEngine::DecisionEngine(const ConfigSpace& space)
   simd_enabled_ = simd_available_;
   if (simd_available_) {
     padded_stride_ = ((num_powers_ + lanes - 1) / lanes) * lanes;
+    // The vector kernel caches an anytime model's stage CDFs for every lane group.
+    ALERT_CHECK(padded_stride_ / lanes <= internal::kMaxLadderGroups);
     const size_t padded =
         static_cast<size_t>(num_candidates_) * static_cast<size_t>(padded_stride_);
     padded_run_profile_.resize(padded);
@@ -361,6 +371,7 @@ internal::ScoreTables DecisionEngine::KernelTables() const {
   t.inference_power = padded_inference_power_.data();
   t.final_accuracy = final_accuracy_.data();
   t.q_fail = q_fail_.data();
+  t.accuracy_bound = accuracy_bound_.data();
   t.stage_offset = stage_offset_.data();
   t.stage_count = stage_count_.data();
   t.stage_frac = stage_frac_.data();
@@ -384,13 +395,17 @@ internal::ScoreParams DecisionEngine::KernelParams(const ScoringContext& ctx) {
   return p;
 }
 
-void DecisionEngine::ScoreChunk(const ScoringContext& ctx, int ci_begin, int ci_end,
-                                int width, ConfigScore* out, int out_stride) const {
-#if defined(ALERT_SIMD_AVX2) || defined(ALERT_SIMD_NEON)
+bool DecisionEngine::KernelScores(const ScoringContext& ctx) const {
   // Only Eq. 12 percentile energy at sigma > 0 stays on the scalar reference
   // arithmetic; everything else, the sigma == 0 (ALERT*) rows included, takes the
   // lane-parallel kernel.
-  if (simd_enabled_ && (ctx.in.xi.stddev == 0.0 || !(ctx.in.percentile > 0.0))) {
+  return simd_enabled_ && (ctx.in.xi.stddev == 0.0 || !(ctx.in.percentile > 0.0));
+}
+
+void DecisionEngine::ScoreChunk(const ScoringContext& ctx, int ci_begin, int ci_end,
+                                int width, ConfigScore* out, int out_stride) const {
+#if defined(ALERT_SIMD_AVX2) || defined(ALERT_SIMD_NEON)
+  if (KernelScores(ctx)) {
     internal::ScoreRowsSimd(KernelTables(), KernelParams(ctx), ci_begin, ci_end,
                             width, out, out_stride);
     return;
@@ -449,20 +464,6 @@ int DecisionEngine::MaxAllowedPower(Watts power_limit) const {
 
 namespace {
 
-// Pr_th pre-filter (Eqs. 10/11) plus per-goal feasibility and objective (Eqs. 1/2)
-// of one scored configuration, for a goal mode resolved once per selection.
-template <GoalMode kMode>
-inline void ConsiderFeasible(BestConfigTracker& best, const Goals& goals,
-                             Joules allowance, int ci, int pi, const ConfigScore& s) {
-  if (goals.prob_threshold > 0.0 && s.prob_deadline < goals.prob_threshold) {
-    return;
-  }
-  best.Consider(ci, pi,
-                ScoreOutcomeFor<kMode>(goals, allowance, s.expected_accuracy,
-                                       s.expected_energy, s.expected_latency,
-                                       /*deadline_ok=*/true));
-}
-
 // The latency > accuracy > power fallback hierarchy (Section 4), applied when
 // nothing passes feasibility.  First secure the deadline — keep only configurations
 // whose completion probability is within a small margin (0.02) of the best
@@ -506,37 +507,14 @@ class FallbackTracker {
   DecisionEngine::Selection selection_;
 };
 
-// The ALERT selection rule — the one rule behind both the fused SelectBest stream
-// and SelectFromScores over a precomputed table.  `rows_at(ci0, rows)` yields the
-// scores of candidates [ci0, ci0 + rows): row r at result + r * stride, powers
-// [0, width).  Feasibility (Eqs. 1/2, plus the optional Pr_th of Eqs. 10/11): the
-// deadline constraint is enforced through the expected-accuracy step function — a
-// config unlikely to finish in time cannot reach the accuracy goal, and in
-// accuracy-maximization mode it scores a poor objective.  When nothing is feasible, a
-// second pass applies the fallback hierarchy under the completion-probability floor
-// learned in the first; for the fused stream that rescores, and scoring is
-// deterministic, so the rescore is bit-identical.
+// The latency > accuracy > power fallback pass under the completion-probability
+// floor `max_pr - 0.02` learned by the feasible pass.  `rows_at(ci0, rows)` yields
+// the scores of candidates [ci0, ci0 + rows): row r at result + r * stride, powers
+// [0, width).
 template <GoalMode kMode, typename RowsAt>
-DecisionEngine::Selection SelectRows(const Goals& goals, Joules allowance,
-                                     int num_candidates, int width, int rows_per_chunk,
-                                     int stride, const RowsAt& rows_at) {
-  BestConfigTracker best(kMode, 1e-12);
-  double max_pr = 0.0;
-  for (int ci0 = 0; ci0 < num_candidates; ci0 += rows_per_chunk) {
-    const int rows = std::min(rows_per_chunk, num_candidates - ci0);
-    const ConfigScore* chunk = rows_at(ci0, rows);
-    for (int r = 0; r < rows; ++r) {
-      const ConfigScore* row = chunk + static_cast<ptrdiff_t>(r) * stride;
-      for (int pi = 0; pi < width; ++pi) {
-        max_pr = std::max(max_pr, row[pi].prob_deadline);
-        ConsiderFeasible<kMode>(best, goals, allowance, ci0 + r, pi, row[pi]);
-      }
-    }
-  }
-  if (best.found()) {
-    return DecisionEngine::Selection{best.candidate_index(), best.power_index(), true};
-  }
-
+DecisionEngine::Selection FallbackRows(double max_pr, int num_candidates, int width,
+                                       int rows_per_chunk, int stride,
+                                       const RowsAt& rows_at) {
   FallbackTracker fallback(kMode, max_pr - 0.02);
   for (int ci0 = 0; ci0 < num_candidates; ci0 += rows_per_chunk) {
     const int rows = std::min(rows_per_chunk, num_candidates - ci0);
@@ -550,6 +528,75 @@ DecisionEngine::Selection SelectRows(const Goals& goals, Joules allowance,
   }
   ALERT_CHECK(fallback.found());
   return fallback.selection();
+}
+
+// Folds into `max_pr` the completion probabilities of the rows a feasible pass
+// skipped as unable to reach the accuracy goal (rows_at as in FallbackRows, one row
+// at a time), so the fallback floor is taken over every row.
+template <typename RowsAt>
+double FoldSkippedRows(double max_pr, const double* accuracy_bound,
+                       double accuracy_goal, int num_candidates, int width,
+                       const RowsAt& rows_at) {
+  for (int ci = 0; ci < num_candidates; ++ci) {
+    if (internal::RowBelowAccuracy(accuracy_bound[ci], accuracy_goal)) {
+      for (const ConfigScore& s : std::span(rows_at(ci, 1), width)) {
+        max_pr = std::max(max_pr, s.prob_deadline);
+      }
+    }
+  }
+  return max_pr;
+}
+
+// The ALERT selection rule — the reference behind the scalar SelectBest stream and
+// SelectFromScores over a precomputed table (rows_at as in FallbackRows).
+// Feasibility (Eqs. 1/2, plus the optional Pr_th of Eqs. 10/11): the deadline
+// constraint is enforced through the expected-accuracy step function — a config
+// unlikely to finish in time cannot reach the accuracy goal, and in
+// accuracy-maximization mode it scores a poor objective.  When nothing is feasible,
+// a second pass applies the fallback hierarchy under the completion-probability
+// floor learned in the first; for the fused stream that rescores, and scoring is
+// deterministic, so the rescore is bit-identical.  With `accuracy_bound` set, rows
+// that cannot change the pick are skipped as in the vector kernel
+// (internal::RowBelowAccuracy); null visits every row, the reference.
+template <GoalMode kMode, typename RowsAt>
+DecisionEngine::Selection SelectRows(const Goals& goals, Joules allowance,
+                                     int num_candidates, int width, int rows_per_chunk,
+                                     int stride, const RowsAt& rows_at,
+                                     const double* accuracy_bound = nullptr) {
+  BestConfigTracker best(kMode, 1e-12);
+  double max_pr = 0.0;
+  bool skipped_rows = false;
+  for (int ci0 = 0; ci0 < num_candidates; ci0 += rows_per_chunk) {
+    const int rows = std::min(rows_per_chunk, num_candidates - ci0);
+    const ConfigScore* chunk = rows_at(ci0, rows);
+    for (int r = 0; r < rows; ++r) {
+      if (accuracy_bound != nullptr) {
+        const double bound = accuracy_bound[ci0 + r];
+        const bool skip =
+            kMode == GoalMode::kMaximizeAccuracy
+                ? best.found() && internal::RowBelowAccuracy(bound, best.objective())
+                : internal::RowBelowAccuracy(bound, goals.accuracy_goal);
+        if (skip) {
+          skipped_rows = true;
+          continue;
+        }
+      }
+      const ConfigScore* row = chunk + static_cast<ptrdiff_t>(r) * stride;
+      for (int pi = 0; pi < width; ++pi) {
+        max_pr = std::max(max_pr, row[pi].prob_deadline);
+        internal::ConsiderFeasible<kMode>(best, goals, allowance, ci0 + r, pi, row[pi]);
+      }
+    }
+  }
+  if (best.found()) {
+    return DecisionEngine::Selection{best.candidate_index(), best.power_index(), true};
+  }
+  if (skipped_rows) {
+    max_pr = FoldSkippedRows(max_pr, accuracy_bound, goals.accuracy_goal,
+                             num_candidates, width, rows_at);
+  }
+  return FallbackRows<kMode>(max_pr, num_candidates, width, rows_per_chunk, stride,
+                             rows_at);
 }
 
 }  // namespace
@@ -566,14 +613,34 @@ DecisionEngine::Selection DecisionEngine::SelectBest(
                        static_cast<size_t>(width));
   ConfigScore* chunk = scratch.chunk.data();
 
-  // Fused score+select: each cache-resident chunk of rows is scored (vector kernel
-  // when active) and immediately folded into the trackers, so the full score table
-  // never exists.
+  // The scalar stream and the fallback pass: each cache-resident chunk of rows is
+  // scored and immediately folded into the trackers, so the full score table never
+  // exists.
   const auto score_rows = [this, &ctx, width, chunk](int ci0, int rows) {
     ScoreChunk(ctx, ci0, ci0 + rows, width, chunk, width);
     return static_cast<const ConfigScore*>(chunk);
   };
   return WithGoalMode(goals.mode, [&]<GoalMode kMode>() {
+#if defined(ALERT_SIMD_AVX2) || defined(ALERT_SIMD_NEON)
+    // The vector kernel runs the feasible pass inside the score loop (no score is
+    // stored).  Rows it skipped as unable to meet the accuracy goal still count
+    // toward the fallback's completion-probability floor; only the accuracy-goal
+    // modes skip rows before a best exists.
+    if (KernelScores(ctx)) {
+      const internal::SelectPass pass = internal::SelectRowsSimd(
+          KernelTables(), KernelParams(ctx), goals, allowance, num_candidates_, width);
+      if (pass.candidate_index >= 0) {
+        return Selection{pass.candidate_index, pass.power_index, true};
+      }
+      const double max_pr =
+          pass.skipped_rows
+              ? FoldSkippedRows(pass.max_pr, accuracy_bound_.data(), goals.accuracy_goal,
+                                num_candidates_, width, score_rows)
+              : pass.max_pr;
+      return FallbackRows<kMode>(max_pr, num_candidates_, width, rows_per_chunk, width,
+                                 score_rows);
+    }
+#endif
     return SelectRows<kMode>(goals, allowance, num_candidates_, width, rows_per_chunk,
                              width, score_rows);
   });
@@ -626,9 +693,12 @@ DecisionEngine::Selection DecisionEngine::SelectFromScores(
   const auto table_rows = [scores, this](int ci0, int /*rows*/) {
     return scores.data() + static_cast<ptrdiff_t>(ci0) * num_powers_;
   };
+  // With SIMD active, rows that cannot change the pick are skipped, as in the
+  // vector SelectBest; the scalar setting visits every row, the reference.
+  const double* accuracy_bound = simd_enabled_ ? accuracy_bound_.data() : nullptr;
   return WithGoalMode(goals.mode, [&]<GoalMode kMode>() {
     return SelectRows<kMode>(goals, allowance, num_candidates_, width, num_candidates_,
-                             num_powers_, table_rows);
+                             num_powers_, table_rows, accuracy_bound);
   });
 }
 

@@ -37,20 +37,30 @@
 // same memoized table, same comparisons — so vector and scalar scores agree to the
 // last bit on every tested platform; the scalar path remains the reference
 // implementation, and only Eq. 12 percentile energy (at sigma > 0) runs scalar.  The
-// kernel computes each anytime model's stage CDFs once per lane group and shares
-// them across the model's stage-limited candidates.  Equivalence is enforced by
+// kernel visits entries in the scalar order (candidate, then power ascending) and
+// hands each scored lane group to a sink that stores it (ScoreAll, ScoreBatch) or
+// selects from it (SelectBest).  It computes each anytime model's stage CDFs once per
+// lane group, cached for all of the row's groups, and shares them across the model's
+// stage-limited candidates.  Equivalence is enforced by
 // tests/core/simd_equivalence_test.cc.
 //
 // Selection: `SelectBest` implements the full ALERT decision rule — the Pr_th
 // pre-filter (Eqs. 10/11), per-goal feasibility and objective (Eqs. 1/2), and the
-// latency > accuracy > power fallback hierarchy of Section 4 — as a FUSED
-// score+select pass: configurations are scored in small cache-resident chunks that
-// feed the feasibility tracker directly, so the full score table is never
-// materialized (the chunk in `SelectScratch` is a few KB regardless of space size).
-// When nothing is feasible, a second streaming pass applies the fallback hierarchy
-// under the completion-probability floor learned in the first; scoring is
-// deterministic, so the rescore is exact and the result is identical to the
-// historical materialize-then-scan implementation.  `MinEnergyPower` implements the
+// latency > accuracy > power fallback hierarchy of Section 4 — without materializing
+// the score table.  On the vector kernel the feasible pass runs inside the score
+// loop: each lane group is tested with vector compares, a group none of whose
+// entries could change the best (under Pr_th, infeasible, or worse than the best by
+// more than 1e-12) is dropped, and any other group's entries go through the scalar
+// rule in order.  A row whose accuracy bound (the max of q_fail and its final or
+// stage accuracies) is below the accuracy goal, or in kMaximizeAccuracy below the
+// best so far, is not scored at all.  On the scalar path configurations are scored
+// in small cache-resident chunks that feed the same rule; `SelectScratch` holds that
+// chunk (a few KB regardless of space size), which the vector path also uses for
+// its fallback pass.  When nothing is feasible, a second streaming pass applies the
+// fallback hierarchy under the completion-probability floor learned in the first
+// (over every row, the skipped ones scored for it); scoring is deterministic, so the
+// rescore is exact and every path picks what the historical materialize-then-scan
+// implementation picked.  `MinEnergyPower` implements the
 // system-layer rule shared by the Sys-only and No-coord baselines: cheapest power
 // cap whose predicted (mean, untruncated) latency meets the deadline.
 //
@@ -62,7 +72,8 @@
 // one job's precomputed score slice: because scores are independent of the power
 // limit, a coordinator can score a round once and then re-select any number of times
 // under different limits (proportional scaling, slack-recycling passes) without
-// rescoring.  `SelectBestBatch` composes the two for J jobs sharing this engine's
+// rescoring; with SIMD active it skips the rows the vector SelectBest would not score
+// (a scalar scan of the rest).  `SelectBestBatch` composes the two for J jobs sharing this engine's
 // candidate family.  All three produce decisions bit-identical to per-job
 // `SelectBest` calls, allocate nothing (caller-owned scratch; `SelectBestBatch` only
 // grows its scratch vector on first use), and are `const` like the rest of the
@@ -155,9 +166,9 @@ inline auto WithGoalMode(GoalMode mode, const F& f) {
 // takes the mode as a compile-time constant, for loops that resolve goals.mode once
 // per call; ScoreOutcome is the same rule with the mode read at run time.
 template <GoalMode kMode>
-inline GoalScore ScoreOutcomeFor(const Goals& goals, Joules allowance, double accuracy,
-                                 Joules energy, Seconds latency, bool deadline_ok,
-                                 double slack = 0.0) {
+[[gnu::always_inline]] inline GoalScore ScoreOutcomeFor(
+    const Goals& goals, Joules allowance, double accuracy, Joules energy,
+    Seconds latency, bool deadline_ok, double slack = 0.0) {
   GoalScore s;
   if constexpr (kMode == GoalMode::kMinimizeEnergy) {
     s.feasible = deadline_ok && accuracy >= goals.accuracy_goal - slack;
@@ -191,13 +202,14 @@ double GoalObjective(GoalMode mode, Joules energy, double error, Seconds latency
 
 // Tracks the best (configuration, GoalScore) seen so far.  `epsilon` is the objective
 // comparison tolerance: ALERT uses 1e-12, the clairvoyant Oracle exact comparisons (0).
-// Consider() is inline for the same reason as ScoreOutcome.
+// Consider() is inline for the same reason as ScoreOutcome; both are forced inline
+// because the -mavx2 kernel TU calls them too (see internal::ConsiderFeasible).
 class BestConfigTracker {
  public:
   BestConfigTracker(GoalMode mode, double epsilon)
       : maximize_(mode == GoalMode::kMaximizeAccuracy), epsilon_(epsilon) {}
 
-  void Consider(int candidate_index, int power_index, const GoalScore& score) {
+  [[gnu::always_inline]] void Consider(int candidate_index, int power_index, const GoalScore& score) {
     if (!score.feasible) {
       return;
     }
@@ -223,6 +235,8 @@ class BestConfigTracker {
   bool found() const { return candidate_index_ >= 0; }
   int candidate_index() const { return candidate_index_; }
   int power_index() const { return power_index_; }
+  // The best's objective; meaningful only when found().
+  double objective() const { return objective_; }
 
  private:
   bool maximize_;
@@ -273,15 +287,16 @@ class DecisionEngine {
     bool feasible = false;  // false => the fallback hierarchy chose
   };
 
-  // Caller-owned scratch of the fused SelectBest: one cache-resident chunk of
-  // scores, a few KB regardless of candidate-space size.  Reused across calls;
-  // grows on first use only.
+  // Caller-owned scratch of SelectBest: one cache-resident chunk of scores, a few
+  // KB regardless of candidate-space size, for the scalar stream and the fallback
+  // pass (the vector feasible pass stores no score).  Reused across calls; grows on
+  // first use only.
   struct SelectScratch {
     simd::AlignedVector<ConfigScore> chunk;
   };
 
-  // The full ALERT decision rule as a fused score+select streaming pass (see the
-  // contract above).  Configurations whose cap exceeds `power_limit` are not
+  // The full ALERT decision rule as a fused score+select pass (see the contract
+  // above).  Configurations whose cap exceeds `power_limit` are not
   // considered (the lowest cap always remains available).
   Selection SelectBest(const Goals& goals, Joules allowance, const DecisionInputs& in,
                        Watts power_limit, SelectScratch& scratch) const;
@@ -297,7 +312,8 @@ class DecisionEngine {
   // over one job's precomputed score slice — `scores` must have num_entries()
   // elements indexed by entry_index().  Scores do not depend on the power limit, so
   // one ScoreBatch/ScoreAll pass supports any number of re-selections under different
-  // limits.  Allocates nothing.
+  // limits.  With SIMD active, rows whose accuracy bound rules them out are not
+  // scanned, as in SelectBest.  Allocates nothing.
   Selection SelectFromScores(const Goals& goals, Joules allowance,
                              std::span<const ConfigScore> scores,
                              Watts power_limit) const;
@@ -336,10 +352,13 @@ class DecisionEngine {
   // Scores the rectangle [ci_begin, ci_end) x powers [0, width) into
   // out[(ci - ci_begin) * out_stride + pi] — the vector kernel when active (unless
   // the pass charges an Eq. 12 percentile at sigma > 0), else the scalar sigma == 0
-  // row pass or per-entry loop.  The single scoring funnel of ScoreAll / ScoreBatch /
-  // SelectBest.
+  // row pass or per-entry loop.  The single scoring funnel of ScoreAll / ScoreBatch
+  // and of SelectBest's scalar stream and fallback pass.
   void ScoreChunk(const ScoringContext& ctx, int ci_begin, int ci_end, int width,
                   ConfigScore* out, int out_stride) const;
+  // Whether `ctx`'s pass runs on the vector kernel: SIMD active, and not an Eq. 12
+  // percentile pass at sigma > 0.
+  bool KernelScores(const ScoringContext& ctx) const;
   // Raw table/parameter views handed to the vector kernel.
   internal::ScoreTables KernelTables() const;
   static internal::ScoreParams KernelParams(const ScoringContext& ctx);
@@ -362,6 +381,9 @@ class DecisionEngine {
   // Per candidate.
   simd::AlignedVector<double> final_accuracy_;    // delivered accuracy on on-time completion
   simd::AlignedVector<double> q_fail_;            // Eq. 3 random-guess fallback
+  // Max of q_fail and the final or stage accuracies: no expected accuracy of the
+  // candidate exceeds it (internal::RowBelowAccuracy).
+  simd::AlignedVector<double> accuracy_bound_;
   simd::AlignedVector<int> stage_offset_;         // into stage_frac_/stage_accuracy_
   simd::AlignedVector<int> stage_count_;          // stage_limit + 1; 0 for traditional
 

@@ -76,7 +76,8 @@ std::vector<StaticOracleResult> FindStaticOracles(const Experiment& experiment,
       const Configuration config{space.candidate(ci), pi};
       std::fill(violations.begin(), violations.end(), 0);
       // One replay serves the whole row: everything but violation_fraction depends
-      // only on the deadline, which the goals share.
+      // only on the deadline, which the goals share.  The counter is RunStatic's
+      // template observer, so it inlines into the replay loop.
       RunResult r = experiment.RunStatic(stack, config, goals.front(),
                                          /*keep_records=*/false, count_violations);
       for (size_t g = 0; g < goals.size(); ++g) {

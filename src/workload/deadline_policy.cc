@@ -12,16 +12,6 @@ constexpr double kMinShareFraction = 0.10;
 
 }  // namespace
 
-FixedDeadlinePolicy::FixedDeadlinePolicy(Seconds deadline) : deadline_(deadline) {
-  ALERT_CHECK(deadline > 0.0);
-}
-
-Seconds FixedDeadlinePolicy::DeadlineFor(int) { return deadline_; }
-
-Seconds FixedDeadlinePolicy::PeriodFor(int) { return deadline_; }
-
-void FixedDeadlinePolicy::OnCompleted(int, Seconds) {}
-
 SentenceSharedDeadlinePolicy::SentenceSharedDeadlinePolicy(const EnvironmentTrace& trace,
                                                            Seconds per_word_budget)
     : trace_(trace), per_word_budget_(per_word_budget) {

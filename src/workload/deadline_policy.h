@@ -8,35 +8,30 @@
 #ifndef SRC_WORKLOAD_DEADLINE_POLICY_H_
 #define SRC_WORKLOAD_DEADLINE_POLICY_H_
 
-#include <memory>
-
+#include "src/common/check.h"
 #include "src/common/units.h"
 #include "src/workload/trace.h"
 
 namespace alert {
 
-class DeadlinePolicy {
- public:
-  virtual ~DeadlinePolicy() = default;
-
-  // Deadline for input n, given everything completed so far.
-  virtual Seconds DeadlineFor(int input_index) = 0;
-
-  // Accounting period for idle energy for input n (usually == its deadline).
-  virtual Seconds PeriodFor(int input_index) = 0;
-
-  // Informs the policy of the completed input's latency.
-  virtual void OnCompleted(int input_index, Seconds latency) = 0;
-};
+// A deadline policy answers, for input n given everything completed so far:
+//   Seconds DeadlineFor(int n);    its deadline;
+//   Seconds PeriodFor(int n);      its idle-energy accounting period (usually the
+//                                  deadline);
+//   void OnCompleted(int n, Seconds latency);  the completed input's latency.
+// The harness resolves the policy type once per run (Experiment's replay loop), so
+// the calls are direct.
 
 // Every input gets the same deadline and period.
-class FixedDeadlinePolicy final : public DeadlinePolicy {
+class FixedDeadlinePolicy {
  public:
-  explicit FixedDeadlinePolicy(Seconds deadline);
+  explicit FixedDeadlinePolicy(Seconds deadline) : deadline_(deadline) {
+    ALERT_CHECK(deadline > 0.0);
+  }
 
-  Seconds DeadlineFor(int input_index) override;
-  Seconds PeriodFor(int input_index) override;
-  void OnCompleted(int input_index, Seconds latency) override;
+  Seconds DeadlineFor(int) const { return deadline_; }
+  Seconds PeriodFor(int) const { return deadline_; }
+  void OnCompleted(int, Seconds) {}
 
  private:
   Seconds deadline_;
@@ -46,14 +41,14 @@ class FixedDeadlinePolicy final : public DeadlinePolicy {
 // deadline is the remaining budget divided by the remaining words, floored at a small
 // fraction of the nominal share (a sentence that overran its budget cannot recover —
 // the paper notes even the Oracle fails on such sentences).
-class SentenceSharedDeadlinePolicy final : public DeadlinePolicy {
+class SentenceSharedDeadlinePolicy {
  public:
   // `trace` must outlive the policy and must carry sentence structure.
   SentenceSharedDeadlinePolicy(const EnvironmentTrace& trace, Seconds per_word_budget);
 
-  Seconds DeadlineFor(int input_index) override;
-  Seconds PeriodFor(int input_index) override;
-  void OnCompleted(int input_index, Seconds latency) override;
+  Seconds DeadlineFor(int input_index);
+  Seconds PeriodFor(int input_index);
+  void OnCompleted(int input_index, Seconds latency);
 
  private:
   const EnvironmentTrace& trace_;

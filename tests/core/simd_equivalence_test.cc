@@ -11,11 +11,16 @@
 // anytime candidates across chunks), a kAnytimeOnly space, a space with two
 // back-to-back anytime models (the per-model ladder cache must restart at the model
 // boundary), and power limits that cut a row mid-vector.  A selection-rule test
-// also checks every goal mode against a reference written out in the test.  On a
-// build or machine without a vector backend the engine
+// also checks every goal mode against a reference written out in the test.  The
+// vector SelectBest fuses the feasible pass into the kernel and skips rows that
+// cannot reach the accuracy goal, so further tests pin goals exactly at a row's
+// accuracy bound, fallbacks after skipped rows, an ε-tie chain whose pick depends
+// on visiting an anytime run in the scalar order, and the bound on the kernel's
+// ladder cache.  On a build or machine without a vector backend the engine
 // reports simd_active() == false and the comparisons degenerate to scalar-vs-scalar
 // — still meaningful for the fused-vs-materialized SelectBest checks, which gate
 // the streaming rewrite independent of vectorization.
+#include <algorithm>
 #include <cstring>
 #include <ostream>
 #include <random>
@@ -26,6 +31,7 @@
 #include "src/common/simd.h"
 #include "src/core/config_space.h"
 #include "src/core/decision_engine.h"
+#include "src/core/decision_engine_simd.h"
 #include "src/dnn/zoo.h"
 #include "src/sim/platform.h"
 
@@ -240,6 +246,101 @@ TEST_F(SimdEquivalenceTest, ScoreBatchBitIdenticalToPerJobScoreAll) {
                              entries * sizeof(ConfigScore)))
         << "job " << j;
   }
+}
+
+// An ε-tie chain across one anytime run, on a synthetic space: one two-stage anytime
+// model (stage ends at 0.5 and 1.0 of the full network, accuracies 0.8 and 0.9), so
+// the run holds candidates c0 (stage limit 0) and c1 (stage limit 1).  Under a
+// mean-only belief (ALERT*) with xi = 1 and a 1 s deadline, kMinimizeLatency ranks
+// by run time, ties within 1e-12 to the lower energy.  The profile makes three
+// feasible entries sit 0.8e-12 s apart:
+//   X = (c0, p0) runs 1 - 1.6e-12 s,  A = (c0, p4) runs 1 - 0.8e-12 s,
+//   B = (c1, p0) and (c1, p4) are cut at the 1 s deadline,
+// and, with a 10 W idle draw above the 1 W inference draw, longer runs spend less:
+// energy X > A > B = (c1, p4).  Every other power runs so long that not even stage 0
+// completes, which misses the 0.5 accuracy goal.  In the scalar order (candidate,
+// then power) A ties X and wins on energy, then B ties A and wins: the pick is B.
+// Visiting the run lane group by lane group meets B before A, while B is still
+// 1.6e-12 behind X, and ends on (c1, p4) instead.
+TEST(SimdSelectionOrderTest, EpsilonTieChainAcrossAnAnytimeRunFollowsTheScalarOrder) {
+  std::vector<DnnModel> models =
+      BuildEvaluationSet(TaskId::kImageClassification, DnnSetChoice::kAnytimeOnly);
+  ASSERT_EQ(models.size(), 1u);
+  models[0].anytime_stages = {{0.5, 0.8}, {1.0, 0.9}};
+  const PlatformSimulator sim(GetPlatform(PlatformId::kCpu1), models);
+  const ConfigSpace profiled(sim);
+  ASSERT_EQ(profiled.num_candidates(), 2);
+  ASSERT_GE(profiled.num_powers(), 5);
+  ProfileSnapshot snapshot = CaptureProfileSnapshot(profiled);
+  for (int pi = 0; pi < snapshot.num_powers; ++pi) {
+    snapshot.profile_latency[static_cast<size_t>(pi)] = 10.0;
+    snapshot.inference_power[static_cast<size_t>(pi)] = 1.0;
+  }
+  snapshot.profile_latency[0] = 2.0 * (1.0 - 1.6e-12);
+  snapshot.profile_latency[4] = 2.0 * (1.0 - 0.8e-12);
+  const ConfigSpace space(sim, snapshot);
+  DecisionEngine engine(space);
+
+  DecisionInputs in;
+  in.xi = XiBelief{1.0, 0.0};
+  in.deadline = 1.0;
+  in.period = 2.0;
+  in.fixed_idle_power = 10.0;
+  Goals goals;
+  goals.mode = GoalMode::kMinimizeLatency;
+  goals.deadline = in.deadline;
+  goals.accuracy_goal = 0.5;
+  goals.energy_budget = 1e9;
+
+  DecisionEngine::SelectScratch scratch;
+  std::vector<ConfigScore> scores(static_cast<size_t>(engine.num_entries()));
+  engine.set_simd_enabled(false);
+  const auto scalar = engine.SelectBest(goals, goals.energy_budget, in, 1e9, scratch);
+  engine.ScoreAll(in, scores);
+  ASSERT_TRUE(scalar.feasible);
+  EXPECT_EQ(scalar.candidate_index, 1);
+  EXPECT_EQ(scalar.power_index, 0);
+  const auto table = engine.SelectFromScores(goals, goals.energy_budget, scores, 1e9);
+  EXPECT_EQ(table.candidate_index, 1);
+  EXPECT_EQ(table.power_index, 0);
+  engine.set_simd_enabled(true);
+  for (const auto& sel :
+       {engine.SelectBest(goals, goals.energy_budget, in, 1e9, scratch),
+        engine.SelectFromScores(goals, goals.energy_budget, scores, 1e9)}) {
+    EXPECT_EQ(sel.candidate_index, 1);
+    EXPECT_EQ(sel.power_index, 0);
+    EXPECT_TRUE(sel.feasible);
+  }
+}
+
+// The kernel caches an anytime model's stage CDFs for every lane group of a row, in
+// a stack array of internal::kMaxLadderGroups groups.  Every platform fits at the
+// narrowest backend (2 lanes); a wider power ladder must fail at construction.
+TEST(SimdLadderCacheTest, EveryPlatformFitsAtTwoAndFourLanes) {
+  for (int p = 0; p < kNumPlatforms; ++p) {
+    const int powers = static_cast<int>(
+        GetPlatform(static_cast<PlatformId>(p)).PowerSettings().size());
+    for (const int lanes : {2, 4}) {
+      EXPECT_LE((powers + lanes - 1) / lanes, internal::kMaxLadderGroups)
+          << "platform " << p << " at " << lanes << " lanes";
+    }
+  }
+}
+
+TEST(SimdLadderCacheDeathTest, RowWiderThanTheLadderCacheFailsAtConstruction) {
+  const int lanes = simd::CompiledLaneWidth();
+  if (lanes <= 1 || !simd::RuntimeSupported()) {
+    GTEST_SKIP() << "no vector backend: the kernel and its cache never run";
+  }
+  PlatformSpec wide = GetPlatform(PlatformId::kGpu);
+  wide.cap_step = (wide.cap_max - wide.cap_min) /
+                  static_cast<double>(internal::kMaxLadderGroups * lanes);
+  const std::vector<DnnModel> models =
+      BuildEvaluationSet(TaskId::kImageClassification, DnnSetChoice::kBoth);
+  const PlatformSimulator sim(wide, models);
+  const ConfigSpace space(sim);
+  ASSERT_GT(space.num_powers(), internal::kMaxLadderGroups * lanes);
+  EXPECT_DEATH(DecisionEngine{space}, "kMaxLadderGroups");
 }
 
 // ---- Engine shapes -------------------------------------------------------------
@@ -540,6 +641,73 @@ TEST_P(SimdShapeTest, SelectionFollowsTheReferenceRuleInEveryMode) {
   }
   EXPECT_GT(feasible_picks, 0);
   EXPECT_GT(filtered_by_threshold, 0);
+}
+
+TEST_P(SimdShapeTest, GoalsAtRowAccuracyBoundsAndFallbacksAfterSkippedRows) {
+  // The vector SelectBest skips a row whose accuracy bound (the max of q_fail and
+  // its final or stage accuracies) is below the goal by more than 1e-9.  A goal
+  // exactly at a bound must keep that row, and a fallback after skipped rows must
+  // still take its completion-probability floor over every row.  Goals: each
+  // distinct bound, each bound nudged 2e-9 down and up, and one above every bound.
+  std::vector<double> bounds;
+  for (int ci = 0; ci < space_.num_candidates(); ++ci) {
+    const Candidate& c = space_.candidate(ci);
+    const DnnModel& model = space_.model(c.model_index);
+    double bound = TaskRandomGuessAccuracy(model.task);
+    if (c.stage_limit >= 0) {
+      for (int k = 0; k <= c.stage_limit; ++k) {
+        bound = std::max(bound, model.anytime_stages[static_cast<size_t>(k)].accuracy);
+      }
+    } else {
+      bound = std::max(bound, space_.CandidateAccuracy(c));
+    }
+    bounds.push_back(bound);
+  }
+  std::vector<double> goal_levels;
+  for (const double b : bounds) {
+    goal_levels.insert(goal_levels.end(), {b, b - 2e-9, b + 2e-9});
+  }
+  goal_levels.push_back(1.5);
+
+  std::vector<DecisionInputs> inputs = Inputs(6);
+  const std::vector<DecisionInputs> sigma0 = SigmaZeroInputs(6);
+  inputs.insert(inputs.end(), sigma0.begin(), sigma0.end());
+  DecisionEngine::SelectScratch scratch;
+  int picks_at_bound = 0;
+  int fallbacks_after_skips = 0;
+  for (const DecisionInputs& in : inputs) {
+    const std::vector<ConfigScore> scores = ScoreAllWith(false, in);
+    for (const GoalMode mode : {GoalMode::kMinimizeEnergy, GoalMode::kMinimizeLatency}) {
+      for (const double pr_th : {0.0, 0.5}) {
+        for (const Watts limit : {Limits()[0], Limits()[2]}) {
+          for (const double level : goal_levels) {
+            Goals goals = GoalsFor(mode, in, pr_th);
+            goals.accuracy_goal = level;
+            engine_.set_simd_enabled(false);
+            const auto scalar_sel =
+                engine_.SelectBest(goals, goals.energy_budget, in, limit, scratch);
+            engine_.set_simd_enabled(true);
+            ExpectSamePick(scalar_sel, engine_.SelectBest(goals, goals.energy_budget, in,
+                                                          limit, scratch));
+            ExpectSamePick(scalar_sel, engine_.SelectFromScores(
+                                           goals, goals.energy_budget, scores, limit));
+            const bool some_row_skipped =
+                std::any_of(bounds.begin(), bounds.end(),
+                            [&](double b) { return b < level - 1e-9; });
+            if (!scalar_sel.feasible && some_row_skipped) {
+              ++fallbacks_after_skips;
+            }
+            if (scalar_sel.feasible &&
+                bounds[static_cast<size_t>(scalar_sel.candidate_index)] == level) {
+              ++picks_at_bound;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(picks_at_bound, 0) << GetParam().name;
+  EXPECT_GT(fallbacks_after_skips, 0) << GetParam().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
